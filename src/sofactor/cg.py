@@ -28,10 +28,12 @@ class CgResult:
     """Outcome of one inner solve.
 
     delta is the best iterate by residual max-norm, not necessarily the
-    last; final_residual_inf is recomputed as ||-g - A*delta||_inf from
-    scratch (one extra product), so it is consistent with delta rather
-    than with the recurrence's drifting residual. converged is exactly
-    final_residual_inf <= tau.
+    last; final_residual_inf is ||-g - A*delta||_inf for that delta,
+    consistent with it rather than with the recurrence's drifting
+    residual. It is recomputed from scratch (one extra product) when
+    some iterate improved on delta = 0; when none did, delta = 0 and
+    final_residual_inf is exactly ||g||_inf, since A*0 = 0. converged
+    is exactly final_residual_inf <= tau.
     """
 
     delta: np.ndarray
@@ -67,7 +69,7 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
                         final_residual_inf=r_inf, converged=True)
 
     best_delta = delta.copy()
-    best_inf = r_inf
+    best_inf = r0_inf = r_inf
     p = r.copy()
     rs = float(r @ r)
     iterations = 0
@@ -97,6 +99,9 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         p = r + (rs_next / rs) * p
         rs = rs_next
 
-    final = float(np.abs(b - apply_a(best_delta)).max())
+    if best_inf < r0_inf:
+        final = float(np.abs(b - apply_a(best_delta)).max())
+    else:  # no iterate beat delta = 0, and b - A*0 is b exactly
+        final = r0_inf
     return CgResult(delta=best_delta, iterations=iterations,
                     final_residual_inf=final, converged=final <= tau)

@@ -22,15 +22,17 @@ import numpy as np
 
 from .data import IndexedDataset
 from .model import FactorState, Hyperparams, pack_blocks, split_vector
+from .sddmm import sampled_dots
 
 
 class CurvatureContext:
     """Precomputed pieces for repeated curvature products at a fixed point.
 
     Built once per outer epoch from the current factors, the indexed
-    train split, and hyperparameters; the per-observation factor rows
-    and the diagonal regularizer coefficients are cached so every
-    product is two einsums plus two sparse accumulations. The context
+    train split, and hyperparameters; only the diagonal regularizer
+    coefficients are cached. Every product is one blocked gather pass
+    (J v reads its factor rows from x block by block, holding no
+    per-observation copy) plus two sparse accumulations. The context
     must be treated as read-only and rebuilt whenever x changes: it
     keeps references to the factor matrices, so mutating x while a
     context is live invalidates it.
@@ -43,13 +45,7 @@ class CurvatureContext:
         self.data = data
         self.h = h
         self.dim = x.dim
-        t = data.base
-        self._users = t.users
-        self._services = t.services
-        # per-observation factor rows (copies; fancy indexing)
-        self._xu_rows = x.user_factors[t.users]
-        self._xs_rows = x.service_factors[t.services]
-        self._jv = np.empty(len(t))  # scratch reused across products
+        self._jv = np.empty(len(data))  # scratch reused across products
         cu = data.user_counts[:, None].astype(np.float64)
         cs = data.service_counts[:, None].astype(np.float64)
         # diagonal Hessian of the smooth L1 term:
@@ -70,9 +66,10 @@ class CurvatureContext:
         overwrites; copy it to keep it.
         """
         vu, vs = self._views(v)
-        np.einsum("ij,ij->i", vu[self._users], self._xs_rows, out=self._jv)
-        self._jv += np.einsum("ij,ij->i", self._xu_rows, vs[self._services])
-        return self._jv
+        t = self.data.base
+        return sampled_dots(t.users, t.services,
+                            ((vu, self.x.service_factors), (self.x.user_factors, vs)),
+                            out=self._jv)
 
     def gn_hvp(self, v: np.ndarray) -> np.ndarray:
         "Gauss-Newton product J^T J v for the data term."

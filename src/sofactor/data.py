@@ -21,6 +21,8 @@ from typing import Iterable, Iterator
 import numpy as np
 import scipy.sparse as sp
 
+from .sddmm import sampled_dots
+
 
 @dataclass(frozen=True)
 class Triple:
@@ -143,9 +145,11 @@ class IndexedDataset:
     by_user: RaggedIndex
     by_service: RaggedIndex
     role: str = ""
-    # column indices of the CSR view rebuilt by the accumulate helpers
-    _user_cols: np.ndarray = field(repr=False, default=None)
-    _service_cols: np.ndarray = field(repr=False, default=None)
+    # CSR (indices, indptr) of the user x service and service x user
+    # scatter matrices, built once by build_index; each weighted sum
+    # pairs them with fresh data and never writes to them
+    _user_csr: tuple = field(repr=False, default=None)
+    _service_csr: tuple = field(repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.base)
@@ -164,20 +168,30 @@ class IndexedDataset:
         weights is per-observation (len |K|); service_rows is (num_services, f).
         """
         b = self.base
-        m = sp.csr_matrix(
-            (np.asarray(weights, dtype=np.float64)[self.by_user.order],
-             self._user_cols, self.by_user.offsets),
-            shape=(b.num_users, b.num_services))
-        return m @ service_rows
+        return _scatter(weights, self.by_user.order, self._user_csr,
+                        (b.num_users, b.num_services), service_rows)
 
     def service_weighted_sums(self, weights: np.ndarray, user_rows: np.ndarray) -> np.ndarray:
         """out[s] = sum over k in by_service[s] of weights[k] * user_rows[user_k]."""
         b = self.base
-        m = sp.csr_matrix(
-            (np.asarray(weights, dtype=np.float64)[self.by_service.order],
-             self._service_cols, self.by_service.offsets),
-            shape=(b.num_services, b.num_users))
-        return m @ user_rows
+        return _scatter(weights, self.by_service.order, self._service_csr,
+                        (b.num_services, b.num_users), user_rows)
+
+
+def _csr_structure(cols: np.ndarray, offsets: np.ndarray, shape) -> tuple:
+    """CSR (indices, indptr) for rows grouped by ``offsets``.
+
+    Built through scipy so that its index-dtype choice for ``shape``
+    holds; passing these back in that dtype skips scipy's per-call
+    range scan and cast.
+    """
+    m = sp.csr_matrix((np.zeros(len(cols)), cols, offsets), shape=shape)
+    return m.indices, m.indptr
+
+
+def _scatter(weights, order, structure, shape, rows) -> np.ndarray:
+    m = sp.csr_matrix((np.asarray(weights, dtype=np.float64)[order], *structure), shape=shape)
+    return m @ rows
 
 
 @dataclass(frozen=True)
@@ -207,8 +221,10 @@ def build_index(t: TripleSet, role: str = "") -> IndexedDataset:
     by_service = _grouped(t.services, t.num_services)
     return IndexedDataset(
         base=t, by_user=by_user, by_service=by_service, role=role,
-        _user_cols=t.services[by_user.order],
-        _service_cols=t.users[by_service.order])
+        _user_csr=_csr_structure(t.services[by_user.order], by_user.offsets,
+                                 (t.num_users, t.num_services)),
+        _service_csr=_csr_structure(t.users[by_service.order], by_service.offsets,
+                                    (t.num_services, t.num_users)))
 
 
 def load_dense_matrix(path) -> TripleSet:
@@ -402,7 +418,7 @@ def synth_lowrank(num_users: int, num_services: int, rank: int, density: float,
     cells = rng.choice(n_cells, size=n_obs, replace=False)
     users = (cells // num_services).astype(np.int64)
     services = (cells % num_services).astype(np.int64)
-    values = np.einsum("ij,ij->i", user_factors[users], service_factors[services])
+    values = sampled_dots(users, services, ((user_factors, service_factors),))
     if noise_sigma > 0:
         values = values + rng.normal(0.0, noise_sigma, size=n_obs)
     data = TripleSet(num_users, num_services, users, services, values)

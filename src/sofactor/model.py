@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import IndexedDataset, TripleSet
+from .sddmm import sampled_dots
 
 FORMAT_VERSION = 1
 
@@ -162,7 +163,7 @@ def predict(x: FactorState, u: int, s: int) -> float:
 
 def predict_observed(x: FactorState, t: TripleSet) -> np.ndarray:
     "Predictions for every observation of t, in observation order."
-    return np.einsum("ij,ij->i", x.user_factors[t.users], x.service_factors[t.services])
+    return sampled_dots(t.users, t.services, ((x.user_factors, x.service_factors),))
 
 
 def residuals(x: FactorState, t: TripleSet) -> np.ndarray:

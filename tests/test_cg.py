@@ -112,6 +112,44 @@ def test_best_iterate_is_returned():
         assert abs(res.final_residual_inf - held) <= 1e-10
 
 
+def counted(a):
+    "apply_a for matrix a, plus the list that records one entry per product."
+    calls = []
+
+    def apply_a(p):
+        calls.append(1)
+        return a @ p
+
+    return apply_a, calls
+
+
+def test_zero_step_makes_no_recompute_product():
+    # curvature spread over eight decades: every CG iterate raises the
+    # residual max-norm, so the best iterate stays delta = 0
+    a = np.diag(10.0 ** np.array([1.7, -1.6, -3.6, -3.9, 3.3, 4.2]))
+    g = np.array([2.1, 4.6, 0.9, 8.7, 6.3, -9.9])
+    for max_iters in (1, 2, 4):
+        apply_a, calls = counted(a)
+        res = cg_solve(apply_a, g, tau=1e-6, max_iters=max_iters)
+        assert res.iterations == max_iters
+        assert not res.delta.any()
+        assert len(calls) == res.iterations
+        assert res.final_residual_inf == float(np.abs(g).max())
+        assert not res.converged
+
+
+def test_improving_iterate_is_recomputed_with_one_extra_product():
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        n = int(rng.integers(3, 30))
+        a = random_spd(rng, n)
+        apply_a, calls = counted(a)
+        res = cg_solve(apply_a, rng.standard_normal(n), tau=1e-30,
+                       max_iters=int(rng.integers(1, 6)))
+        assert res.delta.any()
+        assert len(calls) == res.iterations + 1
+
+
 def test_indefinite_operator_raises():
     a = np.diag([1.0, -1.0])
     with pytest.raises(IndefiniteOperatorError, match="iteration 1"):

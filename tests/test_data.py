@@ -6,6 +6,7 @@ python dictionaries; file formats against hand-written fixtures.
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, strategies as st
 
 from sofactor.data import (
@@ -229,6 +230,33 @@ def test_weighted_sums_match_bruteforce():
         by_service[s] += w[k] * usr_rows[u]
     np.testing.assert_allclose(d.user_weighted_sums(w, svc_rows), by_user, atol=1e-12)
     np.testing.assert_allclose(d.service_weighted_sums(w, usr_rows), by_service, atol=1e-12)
+
+
+def test_cached_scatter_structure_matches_fresh_csr_build():
+    # build_index keeps the CSR structure; every weighted sum must equal
+    # a csr_matrix built from scratch, bitwise, and a later call with
+    # other weights must leave an earlier result untouched
+    rng = np.random.default_rng(19)
+    nu, ns, f = 40, 30, 5
+    cells = rng.permutation(nu * ns)[:700]  # unsorted columns within each row
+    t = TripleSet(nu, ns, cells // ns, cells % ns, rng.uniform(0, 5, len(cells)))
+    d = build_index(t)
+    svc_rows = rng.standard_normal((ns, f))
+    usr_rows = rng.standard_normal((nu, f))
+
+    def fresh(w):
+        mu = sparse.csr_matrix((w[d.by_user.order], t.services[d.by_user.order],
+                                d.by_user.offsets), shape=(nu, ns))
+        ms = sparse.csr_matrix((w[d.by_service.order], t.users[d.by_service.order],
+                                d.by_service.offsets), shape=(ns, nu))
+        return mu @ svc_rows, ms @ usr_rows
+
+    w1 = rng.standard_normal(len(t))
+    w2 = rng.standard_normal(len(t))
+    first = (d.user_weighted_sums(w1, svc_rows), d.service_weighted_sums(w1, usr_rows))
+    second = (d.user_weighted_sums(w2, svc_rows), d.service_weighted_sums(w2, usr_rows))
+    for got, want in zip(first + second, fresh(w1) + fresh(w2)):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------- split
