@@ -2,12 +2,11 @@
 
 from .bench import BenchRow, BenchTable, GridPoint, GridPointResult, GridSpec, grid_search, run_benchmark
 from .cg import CgResult, IndefiniteOperatorError, NonFiniteOperatorError, cg_solve
-from .curvature import CurvatureContext, dense_gn_oracle
+from .curvature import CurvatureContext
 from .data import (
     IndexedDataset,
     RaggedIndex,
     SplitDataset,
-    Triple,
     TripleSet,
     build_index,
     load_dataset,
@@ -39,8 +38,8 @@ __all__ = [
     "BenchRow", "BenchTable", "GridPoint", "GridPointResult", "GridSpec",
     "grid_search", "run_benchmark",
     "CgResult", "IndefiniteOperatorError", "NonFiniteOperatorError", "cg_solve",
-    "CurvatureContext", "dense_gn_oracle",
-    "IndexedDataset", "RaggedIndex", "SplitDataset", "Triple", "TripleSet",
+    "CurvatureContext",
+    "IndexedDataset", "RaggedIndex", "SplitDataset", "TripleSet",
     "build_index", "load_dataset", "load_dense_matrix", "load_triples",
     "sniff_format", "split", "synth_lowrank", "write_dense_matrix",
     "write_triples",

@@ -9,6 +9,7 @@ stderr and exit 1; argparse usage problems exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -77,27 +78,22 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    d = Hyperparams()
-    p.add_argument("--f", type=int, default=d.f, help="latent rank")
-    p.add_argument("--lambda-r1", type=float, default=d.lambda_r1)
-    p.add_argument("--lambda-r2", type=float, default=d.lambda_r2)
-    p.add_argument("--epsilon", type=float, default=d.epsilon)
-    p.add_argument("--gamma", type=float, default=d.gamma)
-    p.add_argument("--tau", type=float, default=d.tau)
-    p.add_argument("--cg-max-iters", type=int, default=d.cg_max_iters)
-    p.add_argument("--max-epochs", type=int, default=d.max_epochs)
-    p.add_argument("--patience", type=int, default=d.patience)
-    p.add_argument("--init-lo", type=float, default=d.init_lo)
-    p.add_argument("--init-hi", type=float, default=d.init_hi)
+    """One flag per Hyperparams field but the seed: --name with '_' as
+    '-', with the field's default and that default's type.
+
+    train and grid take the seed from the split's --seed; bench sets it
+    per run from --seeds.
+    """
+    for fd in dataclasses.fields(Hyperparams):
+        if fd.name != "seed":
+            p.add_argument("--" + fd.name.replace("_", "-"),
+                           type=type(fd.default), default=fd.default)
 
 
 def _hyper_from_args(args) -> Hyperparams:
-    return Hyperparams(
-        f=args.f, lambda_r1=args.lambda_r1, lambda_r2=args.lambda_r2,
-        epsilon=args.epsilon, gamma=args.gamma, tau=args.tau,
-        cg_max_iters=args.cg_max_iters, max_epochs=args.max_epochs,
-        patience=args.patience, init_lo=args.init_lo, init_hi=args.init_hi,
-        seed=args.seed)
+    given = vars(args)
+    return Hyperparams(**{fd.name: given[fd.name]
+                          for fd in dataclasses.fields(Hyperparams) if fd.name in given})
 
 
 def cmd_ingest(args) -> int:
@@ -206,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="convert a dense matrix file to triples")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0, help="unused; uniform scripting")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic low-rank dataset")
@@ -241,14 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
         _add_hyper_flags(p)
         p.add_argument("--out", help="write per-epoch CSV here" if name == "train"
                        else "write all grid points as CSV here")
-        p.add_argument("--progress", action="store_true",
-                       help="log per-point progress to stderr")
         if name == "train":
             p.add_argument("--save-factors", help="dump the trained factors (npz)")
             p.add_argument("--timing", action="store_true",
                            help="include measured wall_ms in the CSV (breaks byte determinism)")
             p.set_defaults(func=cmd_train)
         else:
+            p.add_argument("--progress", action="store_true",
+                           help="log per-point progress to stderr")
             p.add_argument("--lambda-r1-values", type=_float_list,
                            default=bench_mod.GridSpec().lambda_r1_values)
             p.add_argument("--lambda-r2-values", type=_float_list,
@@ -261,13 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
                            default=bench_mod.GridSpec().momentum_values)
             p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("bench", help="multi-seed benchmark over models and splits")
+    # no prefix matching here: it would read a stray --seed N as --seeds N
+    p = sub.add_parser("bench", help="multi-seed benchmark over models and splits",
+                       allow_abbrev=False)
     _add_data_flags(p)
     p.add_argument("--datasets", type=lambda s: s.split(","), default=["d1"],
                    help="comma list: d1, d2 or label:train_frac:val_frac")
     p.add_argument("--models", type=lambda s: s.split(","), default=["m1", "m2", "m3"])
     p.add_argument("--seeds", type=_int_list, default=(0, 1, 2, 3, 4))
-    p.add_argument("--seed", type=int, default=0, help="unused; per-run seeds come from --seeds")
     p.add_argument("--learning-rate", type=float, default=0.01)
     p.add_argument("--momentum", type=float, default=0.9)
     _add_hyper_flags(p)

@@ -15,29 +15,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .sddmm import sampled_dots
-
-
-@dataclass(frozen=True)
-class Triple:
-    """A single observed QoS measurement: user ``user`` invoked service
-    ``service`` and saw ``value`` (seconds, for response-time data)."""
-
-    user: int
-    service: int
-    value: float
-
-    def __post_init__(self):
-        if self.user < 0 or self.service < 0:
-            raise ValueError(f"negative id in triple ({self.user}, {self.service})")
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value in triple ({self.user}, {self.service})")
 
 
 @dataclass(frozen=True)
@@ -83,20 +66,6 @@ class TripleSet:
     def __len__(self) -> int:
         return len(self.users)
 
-    @property
-    def triples(self) -> list[Triple]:
-        return [Triple(int(u), int(s), float(v))
-                for u, s, v in zip(self.users, self.services, self.values)]
-
-    @classmethod
-    def from_triples(cls, num_users: int, num_services: int,
-                     triples: Iterable[Triple]) -> "TripleSet":
-        ts = list(triples)
-        return cls(num_users, num_services,
-                   np.array([t.user for t in ts], dtype=np.int64),
-                   np.array([t.service for t in ts], dtype=np.int64),
-                   np.array([t.value for t in ts], dtype=np.float64))
-
     def subset(self, obs_indices: np.ndarray) -> "TripleSet":
         """New TripleSet with the selected observations, same dimensions."""
         idx = np.asarray(obs_indices, dtype=np.int64)
@@ -106,50 +75,54 @@ class TripleSet:
 
 @dataclass(frozen=True)
 class RaggedIndex:
-    """Observation indices grouped by one entity (all users or all services).
+    """Observations grouped by one entity (all users or all services).
 
-    ``order`` holds observation indices grouped contiguously; group ``i``
-    occupies ``order[offsets[i]:offsets[i+1]]``. Within a group the
-    original observation order is preserved (stable grouping).
+    The grouping is the structure of a CSR matrix of ``shape`` (this
+    entity by the other one): group ``i`` holds observations
+    ``order[indptr[i]:indptr[i+1]]``, in their original order (stable
+    grouping), and ``indices`` holds the other entity's id for each of
+    them. ``indices`` and ``indptr`` are in scipy's own index dtype for
+    ``shape``, so ``weighted_sums`` pairs them with fresh data without
+    a per-call range scan or cast; nothing ever writes to them.
     """
 
-    offsets: np.ndarray
+    shape: tuple
     order: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.order[self.offsets[i]:self.offsets[i + 1]]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return (self[i] for i in range(len(self)))
+    indices: np.ndarray
+    indptr: np.ndarray
 
     @property
     def counts(self) -> np.ndarray:
-        return np.diff(self.offsets)
+        "Observations per group, as int64 whatever scipy's index dtype."
+        return np.diff(self.indptr).astype(np.int64)
+
+    def weighted_sums(self, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """out[i] = sum over k in group i of weights[k] * rows[j_k], where
+        j_k is the other entity's id of observation k.
+
+        weights is per-observation (len |K|); rows has one row per id of
+        the other entity.
+        """
+        m = sp.csr_matrix((np.asarray(weights, dtype=np.float64)[self.order],
+                           self.indices, self.indptr), shape=self.shape)
+        return m @ rows
 
 
 @dataclass(frozen=True)
 class IndexedDataset:
     """A TripleSet plus per-user and per-service observation indices.
 
-    ``by_user[u]`` lists the observations touching user ``u`` (its known
-    set); ``by_service[s]`` likewise for services. The grouped layouts
-    double as fixed sparsity structure for the weighted accumulations
-    used by gradients and curvature products, so they are precomputed
-    once here. Immutable after construction; safe for shared reads.
+    ``by_user`` groups the observations touching each user u (its known
+    set K_u); ``by_service`` likewise for services. The groupings double as
+    fixed sparsity structure for the weighted accumulations used by
+    gradients and curvature products, so they are precomputed once
+    here. Immutable after construction; safe for shared reads.
     """
 
     base: TripleSet
     by_user: RaggedIndex
     by_service: RaggedIndex
     role: str = ""
-    # CSR (indices, indptr) of the user x service and service x user
-    # scatter matrices, built once by build_index; each weighted sum
-    # pairs them with fresh data and never writes to them
-    _user_csr: tuple = field(repr=False, default=None)
-    _service_csr: tuple = field(repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.base)
@@ -163,35 +136,15 @@ class IndexedDataset:
         return self.by_service.counts
 
     def user_weighted_sums(self, weights: np.ndarray, service_rows: np.ndarray) -> np.ndarray:
-        """out[u] = sum over k in by_user[u] of weights[k] * service_rows[service_k].
+        """out[u] = sum over k in K_u of weights[k] * service_rows[service_k].
 
         weights is per-observation (len |K|); service_rows is (num_services, f).
         """
-        b = self.base
-        return _scatter(weights, self.by_user.order, self._user_csr,
-                        (b.num_users, b.num_services), service_rows)
+        return self.by_user.weighted_sums(weights, service_rows)
 
     def service_weighted_sums(self, weights: np.ndarray, user_rows: np.ndarray) -> np.ndarray:
-        """out[s] = sum over k in by_service[s] of weights[k] * user_rows[user_k]."""
-        b = self.base
-        return _scatter(weights, self.by_service.order, self._service_csr,
-                        (b.num_services, b.num_users), user_rows)
-
-
-def _csr_structure(cols: np.ndarray, offsets: np.ndarray, shape) -> tuple:
-    """CSR (indices, indptr) for rows grouped by ``offsets``.
-
-    Built through scipy so that its index-dtype choice for ``shape``
-    holds; passing these back in that dtype skips scipy's per-call
-    range scan and cast.
-    """
-    m = sp.csr_matrix((np.zeros(len(cols)), cols, offsets), shape=shape)
-    return m.indices, m.indptr
-
-
-def _scatter(weights, order, structure, shape, rows) -> np.ndarray:
-    m = sp.csr_matrix((np.asarray(weights, dtype=np.float64)[order], *structure), shape=shape)
-    return m @ rows
+        """out[s] = sum over k in K_s of weights[k] * user_rows[user_k]."""
+        return self.by_service.weighted_sums(weights, user_rows)
 
 
 @dataclass(frozen=True)
@@ -204,11 +157,13 @@ class SplitDataset:
     seed: int
 
 
-def _grouped(ids: np.ndarray, n: int) -> RaggedIndex:
+def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedIndex:
     order = np.argsort(ids, kind="stable").astype(np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=n), out=offsets[1:])
-    return RaggedIndex(offsets=offsets, order=order)
+    offsets = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=shape[0]), out=offsets[1:])
+    # built through scipy so that its index-dtype choice for shape holds
+    m = sp.csr_matrix((np.zeros(len(order)), other_ids[order], offsets), shape=shape)
+    return RaggedIndex(shape=shape, order=order, indices=m.indices, indptr=m.indptr)
 
 
 def build_index(t: TripleSet, role: str = "") -> IndexedDataset:
@@ -217,14 +172,10 @@ def build_index(t: TripleSet, role: str = "") -> IndexedDataset:
     Total on any valid TripleSet; preserves observation order inside
     every group.
     """
-    by_user = _grouped(t.users, t.num_users)
-    by_service = _grouped(t.services, t.num_services)
     return IndexedDataset(
-        base=t, by_user=by_user, by_service=by_service, role=role,
-        _user_csr=_csr_structure(t.services[by_user.order], by_user.offsets,
-                                 (t.num_users, t.num_services)),
-        _service_csr=_csr_structure(t.users[by_service.order], by_service.offsets,
-                                    (t.num_services, t.num_users)))
+        base=t, role=role,
+        by_user=_grouped(t.users, t.services, (t.num_users, t.num_services)),
+        by_service=_grouped(t.services, t.users, (t.num_services, t.num_users)))
 
 
 def load_dense_matrix(path) -> TripleSet:

@@ -30,14 +30,6 @@ from .curvature import CurvatureContext
 from .data import SplitDataset
 from .model import FactorState, Hyperparams, gradient, init_factors, rmse
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
-
 VALID_OPTIMIZERS = ("DRSLF", "SLF", "SGDM")
 
 
@@ -149,18 +141,19 @@ def restore_best(report: TrainReport, snapshot: BestSnapshot) -> FactorState:
     return snapshot.state
 
 
-def _sgdm_epoch_py(users, services, values, order, xu, xs, vu, vs,
-                   lr, momentum, lam2):
+def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
+                lr, momentum, lam2):
+    """One SGDM pass over ``order``, updating xu, xs, vu and vs in place;
+    both gradients of an observation come from its pre-update rows."""
     for k in order:
         u = users[k]
         s = services[k]
         xu_row = xu[u]
         xs_row = xs[s]
-        # Subtract the products one by one in index order, as
-        # _sgdm_epoch_jit does. A dot product (@, np.dot, einsum) sums in
-        # its own order, so SGDM's numbers would depend on whether numba
-        # is installed and momentum 0 would not equal plain SGD
-        # (acceptance criterion 7).
+        # Subtract the products one by one in index order, as a scalar
+        # loop over the factor index does. A dot product (@, np.dot,
+        # einsum) sums in its own order, and momentum 0 would then not
+        # equal plain SGD bit for bit (acceptance criterion 7).
         err = float(values[k])
         for p in (xu_row * xs_row).tolist():
             err -= p
@@ -170,33 +163,6 @@ def _sgdm_epoch_py(users, services, values, order, xu, xs, vu, vs,
         vs[s] = momentum * vs[s] - lr * gs
         xu[u] += vu[u]
         xs[s] += vs[s]
-
-
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _sgdm_epoch_jit(users, services, values, order, xu, xs, vu, vs,
-                        lr, momentum, lam2):  # pragma: no cover - exercised via train
-        f = xu.shape[1]
-        for i in range(order.shape[0]):
-            k = order[i]
-            u = users[k]
-            s = services[k]
-            err = values[k]
-            for d in range(f):
-                err -= xu[u, d] * xs[s, d]
-            for d in range(f):
-                # both gradients from the pre-update rows
-                gu = -err * xs[s, d] + lam2 * xu[u, d]
-                gs = -err * xu[u, d] + lam2 * xs[s, d]
-                vu[u, d] = momentum * vu[u, d] - lr * gu
-                vs[s, d] = momentum * vs[s, d] - lr * gs
-                xu[u, d] += vu[u, d]
-                xs[s, d] += vs[s, d]
-
-    _sgdm_epoch = _sgdm_epoch_jit
-else:  # pragma: no cover
-    _sgdm_epoch = _sgdm_epoch_py
 
 
 class _SgdmState:

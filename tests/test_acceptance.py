@@ -17,7 +17,7 @@ import pytest
 from sofactor.bench import run_benchmark
 from sofactor.cg import cg_solve
 from sofactor.cli import main
-from sofactor.curvature import CurvatureContext, dense_gn_oracle
+from sofactor.curvature import CurvatureContext
 from sofactor.data import (
     TripleSet,
     build_index,
@@ -35,6 +35,8 @@ from sofactor.model import (
     rmse,
 )
 from sofactor.train import OptimizerKind, train
+
+from oracles import dense_gn_oracle
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:

@@ -1,10 +1,12 @@
 """Command line behaviour, exercised in-process through main(argv)."""
 
+import dataclasses
+
 import pytest
 
-from sofactor.cli import main, resolve_data_path
+from sofactor.cli import _hyper_from_args, build_parser, main, resolve_data_path
 from sofactor.data import load_triples, sniff_format, synth_lowrank, write_dense_matrix, write_triples
-from sofactor.model import load_factors
+from sofactor.model import Hyperparams, load_factors
 
 
 def write_synth_file(path, seed=0):
@@ -197,3 +199,31 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # --data is required
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", "m.txt", "--out", "t.txt", "--seed", "0"],
+    ["bench", "--data", "d.txt", "--seed", "0"],
+    ["train", "--data", "d.txt", "--progress"],
+])
+def test_removed_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_every_hyperparam_has_a_train_flag():
+    # each field of Hyperparams is set through its own flag, with a value
+    # that differs from its default and has the field's type
+    given = dict(f=3, lambda_r1=0.25, lambda_r2=0.125, epsilon=1e-6, gamma=7.5,
+                 tau=0.5, cg_max_iters=4, max_epochs=6, patience=2,
+                 init_lo=0.1, init_hi=0.9, seed=9)
+    assert set(given) == {fd.name for fd in dataclasses.fields(Hyperparams)}
+    argv = ["train", "--data", "d.txt"]
+    for name, value in given.items():
+        argv += ["--" + name.replace("_", "-"), str(value)]
+    h = _hyper_from_args(build_parser().parse_args(argv))
+    assert h == Hyperparams(**given)
+    for name, value in given.items():
+        assert type(getattr(h, name)) is type(value)
+        assert value != getattr(Hyperparams(), name)

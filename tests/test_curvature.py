@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sofactor.curvature import CurvatureContext, dense_gn_oracle
+from sofactor.curvature import CurvatureContext
 from sofactor.data import TripleSet, build_index
 from sofactor.model import (
     FactorState,
@@ -13,6 +13,7 @@ from sofactor.model import (
     predict_observed,
 )
 
+from oracles import dense_gn_oracle
 from test_model import random_problem
 
 

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 
 from sofactor.data import (
     IndexedDataset,
-    Triple,
     TripleSet,
     build_index,
     load_dense_matrix,
@@ -34,15 +33,6 @@ def small_set():
 
 # ---------------------------------------------------------------- types
 
-def test_triple_rejects_negative_ids_and_nonfinite():
-    with pytest.raises(ValueError):
-        Triple(-1, 0, 1.0)
-    with pytest.raises(ValueError):
-        Triple(0, -2, 1.0)
-    with pytest.raises(ValueError):
-        Triple(0, 0, float("nan"))
-
-
 def test_tripleset_validates_ranges():
     with pytest.raises(ValueError, match="out of range"):
         TripleSet(2, 2, np.array([0, 2]), np.array([0, 1]), np.array([1.0, 1.0]))
@@ -58,14 +48,6 @@ def test_tripleset_rejects_duplicate_pair():
                   np.array([0, 1, 1]),
                   np.array([2, 2, 2]),
                   np.array([1.0, 2.0, 3.0]))
-
-
-def test_tripleset_roundtrip_through_triples():
-    t = small_set()
-    again = TripleSet.from_triples(t.num_users, t.num_services, t.triples)
-    assert np.array_equal(again.users, t.users)
-    assert np.array_equal(again.services, t.services)
-    assert np.array_equal(again.values, t.values)
 
 
 # -------------------------------------------------------------- loaders
@@ -85,7 +67,7 @@ def test_load_dense_matrix_two_by_two(tmp_path):
     p.write_text("1.2 -1\n0.5 2.0\n")
     t = load_dense_matrix(p)
     assert (t.num_users, t.num_services) == (2, 2)
-    got = {(tr.user, tr.service, tr.value) for tr in t.triples}
+    got = set(zip(t.users.tolist(), t.services.tolist(), t.values.tolist()))
     assert got == {(0, 0, 1.2), (1, 0, 0.5), (1, 1, 2.0)}
 
 
@@ -186,6 +168,11 @@ def test_triples_value_roundtrip_exact(tmp_path_factory, v):
 
 # ---------------------------------------------------------------- index
 
+def group(index, i):
+    "Observations of group i of a RaggedIndex."
+    return index.order[index.indptr[i]:index.indptr[i + 1]]
+
+
 def test_build_index_matches_bruteforce():
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -200,9 +187,9 @@ def test_build_index_matches_bruteforce():
             by_u.setdefault(int(u), []).append(k)
             by_s.setdefault(int(s), []).append(k)
         for u in range(nu):
-            assert list(d.by_user[u]) == by_u.get(u, [])
+            assert list(group(d.by_user, u)) == by_u.get(u, [])
         for s in range(ns):
-            assert list(d.by_service[s]) == by_s.get(s, [])
+            assert list(group(d.by_service, s)) == by_s.get(s, [])
         assert np.array_equal(d.user_counts, [len(by_u.get(u, [])) for u in range(nu)])
         assert np.array_equal(d.service_counts, [len(by_s.get(s, [])) for s in range(ns)])
 
@@ -210,9 +197,9 @@ def test_build_index_matches_bruteforce():
 def test_index_preserves_observation_order_within_group():
     t = small_set()
     d = build_index(t)
-    assert list(d.by_user[2]) == [3, 4, 5]
-    assert list(d.by_user[3]) == []
-    assert list(d.by_service[0]) == [0, 3]
+    assert list(group(d.by_user, 2)) == [3, 4, 5]
+    assert list(group(d.by_user, 3)) == []
+    assert list(group(d.by_service, 0)) == [0, 3]
 
 
 def test_weighted_sums_match_bruteforce():
@@ -246,9 +233,9 @@ def test_cached_scatter_structure_matches_fresh_csr_build():
 
     def fresh(w):
         mu = sparse.csr_matrix((w[d.by_user.order], t.services[d.by_user.order],
-                                d.by_user.offsets), shape=(nu, ns))
+                                d.by_user.indptr), shape=(nu, ns))
         ms = sparse.csr_matrix((w[d.by_service.order], t.users[d.by_service.order],
-                                d.by_service.offsets), shape=(ns, nu))
+                                d.by_service.indptr), shape=(ns, nu))
         return mu @ svc_rows, ms @ usr_rows
 
     w1 = rng.standard_normal(len(t))

@@ -15,7 +15,6 @@ from sofactor.train import (
     OptimizerKind,
     TrainReport,
     _sgdm_epoch,
-    _sgdm_epoch_py,
     train,
 )
 
@@ -138,10 +137,9 @@ def sgdm_scalar_reference(users, services, values, orders, xu, xs, vu, vs,
                 xs[s, d] += vs[s, d]
 
 
-def test_sgdm_kernel_fallback_matches_jit():
-    # _sgdm_epoch is the compiled kernel where numba imports and the
-    # pure-Python fallback otherwise; each must equal the scalar loop that
-    # _sgdm_epoch_jit is written as, bit for bit
+def test_sgdm_kernel_matches_scalar_reference():
+    # the per-row kernel must equal the scalar loop bit for bit on all
+    # four arrays it updates
     rng = np.random.default_rng(71)
     t, _ = synth_lowrank(8, 9, 2, 0.5, 0.05, seed=3, init_lo=0.2, init_hi=1.0)
     orders = [rng.permutation(len(t)).astype(np.int64) for _ in range(3)]
@@ -150,12 +148,11 @@ def test_sgdm_kernel_fallback_matches_jit():
     args = (t.users, t.services, t.values)
     want = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
     sgdm_scalar_reference(*args, orders, *want, 0.03, 0.6, 1e-2)
-    for kernel in (_sgdm_epoch_py, _sgdm_epoch):
-        got = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
-        for order in orders:
-            kernel(*args, order, *got, 0.03, 0.6, 1e-2)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g, w)
+    got = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
+    for order in orders:
+        _sgdm_epoch(*args, order, *got, 0.03, 0.6, 1e-2)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 # ------------------------------------------------------------- early stopping
