@@ -23,7 +23,7 @@ class IndefiniteOperatorError(RuntimeError):
     "Encountered <p, A p> <= 0: the operator is not positive definite as damped."
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CgResult:
     """Outcome of one inner solve.
 

@@ -194,17 +194,22 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no prefix matching on any parser: a shortened or misspelt flag that
+    # is the prefix of one real flag would be read as that flag (a stray
+    # bench --seed N as --seeds N)
     parser = argparse.ArgumentParser(
-        prog="sofactor",
+        prog="sofactor", allow_abbrev=False,
         description="Sparse matrix completion with second-order latent factor models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="convert a dense matrix file to triples")
+    p = sub.add_parser("ingest", help="convert a dense matrix file to triples",
+                       allow_abbrev=False)
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("synth", help="generate a synthetic low-rank dataset")
+    p = sub.add_parser("synth", help="generate a synthetic low-rank dataset",
+                       allow_abbrev=False)
     p.add_argument("--num-users", type=int, required=True)
     p.add_argument("--num-services", type=int, required=True)
     p.add_argument("--rank", type=int, default=4)
@@ -215,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factors-out", help="also dump the ground-truth factors (npz)")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("split", help="write train/validation/test triple files")
+    p = sub.add_parser("split", help="write train/validation/test triple files",
+                       allow_abbrev=False)
     _add_data_flags(p)
     p.add_argument("--train-frac", type=float, required=True)
     p.add_argument("--val-frac", type=float, required=True)
@@ -224,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_split)
 
     for name in ("train", "grid"):
-        p = sub.add_parser(name, help=f"{name} a model on one split")
+        p = sub.add_parser(name, help=f"{name} a model on one split", allow_abbrev=False)
         _add_data_flags(p)
         p.add_argument("--train-frac", type=float, default=0.10)
         p.add_argument("--val-frac", type=float, default=0.45)
@@ -256,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                            default=bench_mod.GridSpec().momentum_values)
             p.set_defaults(func=cmd_grid)
 
-    # no prefix matching here: it would read a stray --seed N as --seeds N
     p = sub.add_parser("bench", help="multi-seed benchmark over models and splits",
                        allow_abbrev=False)
     _add_data_flags(p)

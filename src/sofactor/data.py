@@ -23,7 +23,10 @@ import scipy.sparse as sp
 from .sddmm import sampled_dots
 
 
-@dataclass(frozen=True)
+# The array-holding types here (and FactorState, CgResult) are declared
+# eq=False: the generated __eq__ would compare ndarray fields and raise,
+# so equality is identity.
+@dataclass(frozen=True, eq=False)
 class TripleSet:
     """The known set of a user-by-service matrix, stored as parallel arrays.
 
@@ -73,7 +76,7 @@ class TripleSet:
                          self.users[idx], self.services[idx], self.values[idx])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RaggedIndex:
     """Observations grouped by one entity (all users or all services).
 
@@ -108,7 +111,7 @@ class RaggedIndex:
         return m @ rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexedDataset:
     """A TripleSet plus per-user and per-service observation indices.
 
@@ -147,7 +150,7 @@ class IndexedDataset:
         return self.by_service.weighted_sums(weights, user_rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitDataset:
     """Disjoint train/validation/test partition of one TripleSet."""
 

@@ -71,7 +71,7 @@ class Hyperparams:
             raise ValueError("init range must satisfy init_lo < init_hi")
 
 
-@dataclass
+@dataclass(eq=False)
 class FactorState:
     """Rank-f factor matrices; the full parameter point of a model.
 

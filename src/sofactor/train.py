@@ -144,25 +144,60 @@ def restore_best(report: TrainReport, snapshot: BestSnapshot) -> FactorState:
 def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
                 lr, momentum, lam2):
     """One SGDM pass over ``order``, updating xu, xs, vu and vs in place;
-    both gradients of an observation come from its pre-update rows."""
-    for k in order:
-        u = users[k]
-        s = services[k]
-        xu_row = xu[u]
-        xs_row = xs[s]
+    both gradients of an observation come from its pre-update rows.
+
+    The result is bit for bit that of visiting ``order`` one observation
+    at a time. The pass is level scheduled: an observation's level is one
+    more than the larger of the levels of the last earlier observation on
+    its user and on its service. No two observations of one level share
+    a user or a service, so each level is updated at once: every
+    observation reads exactly the rows the serial order would give it,
+    and every write lands on a distinct row. Levels run in increasing
+    order.
+
+    The level count is at least the largest number of observations on
+    one user or one service in ``order``; if one entity appears in every
+    observation, each level holds a single observation.
+    """
+    u_seq = users[order]
+    s_seq = services[order]
+    level = []
+    last_u = [0] * xu.shape[0]
+    last_s = [0] * xs.shape[0]
+    for u, s in zip(u_seq.tolist(), s_seq.tolist()):
+        lu = last_u[u]
+        ls = last_s[s]
+        lv = (lu if lu > ls else ls) + 1
+        last_u[u] = lv
+        last_s[s] = lv
+        level.append(lv)
+    level = np.array(level, dtype=np.int64)
+    by_level = np.argsort(level, kind="stable")
+    u_seq = u_seq[by_level]
+    s_seq = s_seq[by_level]
+    val_seq = values[order[by_level]]
+    ends = np.cumsum(np.bincount(level)).tolist()
+    for start, stop in zip(ends[:-1], ends[1:]):
+        u = u_seq[start:stop]
+        s = s_seq[start:stop]
+        xu_rows = xu[u]
+        xs_rows = xs[s]
         # Subtract the products one by one in index order, as a scalar
         # loop over the factor index does. A dot product (@, np.dot,
         # einsum) sums in its own order, and momentum 0 would then not
         # equal plain SGD bit for bit (acceptance criterion 7).
-        err = float(values[k])
-        for p in (xu_row * xs_row).tolist():
+        err = val_seq[start:stop].copy()
+        for p in (xu_rows * xs_rows).T:
             err -= p
-        gu = -err * xs_row + lam2 * xu_row
-        gs = -err * xu_row + lam2 * xs_row
-        vu[u] = momentum * vu[u] - lr * gu
-        vs[s] = momentum * vs[s] - lr * gs
-        xu[u] += vu[u]
-        xs[s] += vs[s]
+        neg_err = (-err)[:, None]
+        gu = neg_err * xs_rows + lam2 * xu_rows
+        gs = neg_err * xu_rows + lam2 * xs_rows
+        vu_rows = momentum * vu[u] - lr * gu
+        vs_rows = momentum * vs[s] - lr * gs
+        vu[u] = vu_rows
+        vs[s] = vs_rows
+        xu[u] = xu_rows + vu_rows
+        xs[s] = xs_rows + vs_rows
 
 
 class _SgdmState:

@@ -212,6 +212,31 @@ def test_removed_flags_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, prefix, flag", [
+    (["ingest", "--inp", "m.txt", "--out", "t.txt"], "--inp", "--input"),
+    (["synth", "--num-u", "3", "--num-services", "4", "--out", "t.txt"],
+     "--num-u", "--num-users"),
+    (["split", "--data", "d.txt", "--train-f", "0.5", "--val-frac", "0.2", "--out", "p"],
+     "--train-f", "--train-frac"),
+    (["train", "--data", "d.txt", "--train-f", "0.2"], "--train-f", "--train-frac"),
+    (["grid", "--data", "d.txt", "--gamma-v", "1,2"], "--gamma-v", "--gamma-values"),
+    (["bench", "--data", "d.txt", "--mod", "m1"], "--mod", "--models"),
+])
+def test_flag_prefixes_are_usage_errors(argv, prefix, flag):
+    # the full flag parses; its prefix is not taken for it
+    build_parser().parse_args([flag if a == prefix else a for a in argv])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_top_level_flag_prefix_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--he"])  # not --help
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_every_hyperparam_has_a_train_flag():
     # each field of Hyperparams is set through its own flag, with a value
     # that differs from its default and has the field's type

@@ -4,11 +4,14 @@ Grouping and accumulation results are checked against brute-force
 python dictionaries; file formats against hand-written fixtures.
 """
 
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 from hypothesis import given, strategies as st
 
+from sofactor.cg import cg_solve
 from sofactor.data import (
     IndexedDataset,
     TripleSet,
@@ -20,6 +23,7 @@ from sofactor.data import (
     write_dense_matrix,
     write_triples,
 )
+from sofactor.model import Hyperparams, init_factors
 
 
 def small_set():
@@ -48,6 +52,22 @@ def test_tripleset_rejects_duplicate_pair():
                   np.array([0, 1, 1]),
                   np.array([2, 2, 2]),
                   np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("make", [
+    small_set,
+    lambda: build_index(small_set()).by_user,
+    lambda: build_index(small_set()),
+    lambda: split(small_set(), 0.5, 0.25, seed=0),
+    lambda: init_factors(4, 3, Hyperparams(f=2)),
+    lambda: cg_solve(lambda v: v, np.ones(3), 1e-12, 5),
+], ids=["TripleSet", "RaggedIndex", "IndexedDataset", "SplitDataset",
+        "FactorState", "CgResult"])
+def test_array_holding_types_compare_by_identity(make):
+    # a generated __eq__ would compare the ndarray fields and raise
+    a = make()
+    assert a == a
+    assert (a == copy.copy(a)) is False
 
 
 # -------------------------------------------------------------- loaders

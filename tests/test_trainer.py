@@ -137,20 +137,43 @@ def sgdm_scalar_reference(users, services, values, orders, xu, xs, vu, vs,
                 xs[s, d] += vs[s, d]
 
 
-def test_sgdm_kernel_matches_scalar_reference():
-    # the per-row kernel must equal the scalar loop bit for bit on all
-    # four arrays it updates
+def sgdm_kernel_case(case):
+    """(users, services, values, orders, xu0, xs0, momentum) for one
+    kernel test; "mixed" is the synthetic set over three epochs."""
     rng = np.random.default_rng(71)
-    t, _ = synth_lowrank(8, 9, 2, 0.5, 0.05, seed=3, init_lo=0.2, init_hi=1.0)
-    orders = [rng.permutation(len(t)).astype(np.int64) for _ in range(3)]
+    if case == "one_user":  # every observation conflicts: one per level
+        users, services = np.zeros(9, dtype=np.int64), np.arange(9)
+        values = rng.uniform(0.2, 1.0, 9)
+    elif case == "one_service":
+        users, services = np.arange(8), np.zeros(8, dtype=np.int64)
+        values = rng.uniform(0.2, 1.0, 8)
+    else:
+        t, _ = synth_lowrank(8, 9, 2, 0.5, 0.05, seed=3, init_lo=0.2, init_hi=1.0)
+        users, services, values = t.users, t.services, t.values
+    if case == "empty":
+        orders = [np.zeros(0, dtype=np.int64)]
+    elif case == "single":
+        orders = [np.array([4], dtype=np.int64)]
+    else:
+        orders = [rng.permutation(len(users)).astype(np.int64) for _ in range(3)]
     xu0 = rng.uniform(0.2, 1.0, (8, 5))
     xs0 = rng.uniform(0.2, 1.0, (9, 5))
-    args = (t.users, t.services, t.values)
+    momentum = 0.0 if case == "momentum_zero" else 0.6
+    return users, services, values, orders, xu0, xs0, momentum
+
+
+@pytest.mark.parametrize("case", ["mixed", "one_user", "one_service", "empty",
+                                  "single", "momentum_zero"])
+def test_sgdm_kernel_matches_scalar_reference(case):
+    # the level-scheduled kernel must equal the scalar loop bit for bit
+    # on all four arrays it updates
+    users, services, values, orders, xu0, xs0, momentum = sgdm_kernel_case(case)
+    args = (users, services, values)
     want = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
-    sgdm_scalar_reference(*args, orders, *want, 0.03, 0.6, 1e-2)
+    sgdm_scalar_reference(*args, orders, *want, 0.03, momentum, 1e-2)
     got = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
     for order in orders:
-        _sgdm_epoch(*args, order, *got, 0.03, 0.6, 1e-2)
+        _sgdm_epoch(*args, order, *got, 0.03, momentum, 1e-2)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
