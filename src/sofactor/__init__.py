@@ -15,7 +15,6 @@ from .data import (
     sniff_format,
     split,
     synth_lowrank,
-    write_dense_matrix,
     write_triples,
 )
 from .model import (
@@ -24,9 +23,7 @@ from .model import (
     gradient,
     init_factors,
     load_factors,
-    loss_data,
     objective,
-    predict,
     rmse,
     save_factors,
 )
@@ -41,10 +38,9 @@ __all__ = [
     "CurvatureContext",
     "IndexedDataset", "RaggedIndex", "SplitDataset", "TripleSet",
     "build_index", "load_dataset", "load_dense_matrix", "load_triples",
-    "sniff_format", "split", "synth_lowrank", "write_dense_matrix",
-    "write_triples",
+    "sniff_format", "split", "synth_lowrank", "write_triples",
     "FactorState", "Hyperparams", "gradient", "init_factors", "load_factors",
-    "loss_data", "objective", "predict", "rmse", "save_factors",
+    "objective", "rmse", "save_factors",
     "BestSnapshot", "EpochRecord", "OptimizerKind", "TrainReport",
     "restore_best", "train",
     "__version__",

@@ -7,20 +7,31 @@ Two text formats are supported:
 * dense matrix: one row per line, whitespace-separated reals, any
   strictly negative cell means "missing" (the public response-time
   data uses -1 for unmeasured invocations);
-* triples: one "user service value" record per line, ``#`` lines are
-  comments.
+* triples: one "user service value" record per line; ``#`` starts a
+  comment that runs to the end of its line, and blank lines are skipped.
+
+Both loaders parse with ``np.loadtxt``: ids are decimal integers with an
+optional sign, values decimal or exponent reals (``nan`` and ``inf``
+parse, then fail validation); ``1_0`` and ``0x10`` are rejected.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import re
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
 
 from .sddmm import sampled_dots
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_TRIPLE = np.dtype([("u", "i8"), ("s", "i8"), ("v", "f8")])
+_ID = re.compile(r"[+-]?[0-9]+")
 
 
 # The array-holding types here (and FactorState, CgResult) are declared
@@ -32,7 +43,10 @@ class TripleSet:
 
     ``users``, ``services`` and ``values`` have one entry per observation,
     in file/order of construction. Invariants checked on construction:
-    ids in range, values finite, no duplicate (user, service) pair.
+    ids in range, values finite, no duplicate (user, service) pair, and
+    ``max(num_users * num_services, max(num_users, num_services) * len)``
+    within int64, so that the sort keys of the duplicate check and of
+    ``build_index`` are exact.
     """
 
     num_users: int
@@ -47,24 +61,32 @@ class TripleSet:
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
         if not (len(self.users) == len(self.services) == len(self.values)):
             raise ValueError("users/services/values length mismatch")
-        if self.num_users < 0 or self.num_services < 0:
+        nu, ns, n = int(self.num_users), int(self.num_services), len(self.users)
+        if nu < 0 or ns < 0:
             raise ValueError("negative dimensions")
-        if len(self.users) > 0:
+        # users * ns + services is below nu * ns, and _grouped's
+        # ids * n + position below max(nu, ns) * n
+        if max(nu * ns, max(nu, ns) * n) > _INT64_MAX:
+            raise ValueError(
+                f"{nu} x {ns} matrix with {n} observations is too large for int64 sort keys")
+        if n > 0:
             if self.users.min() < 0 or self.services.min() < 0:
                 raise ValueError("negative id")
-            if self.users.max() >= self.num_users:
-                raise ValueError(f"user id {self.users.max()} out of range (num_users={self.num_users})")
-            if self.services.max() >= self.num_services:
-                raise ValueError(f"service id {self.services.max()} out of range (num_services={self.num_services})")
+            if self.users.max() >= nu:
+                raise ValueError(f"user id {self.users.max()} out of range (num_users={nu})")
+            if self.services.max() >= ns:
+                raise ValueError(f"service id {self.services.max()} out of range (num_services={ns})")
             if not np.isfinite(self.values).all():
                 raise ValueError("non-finite observation value")
-            # duplicate (u, s) detection via lexicographic sort
-            order = np.lexsort((self.services, self.users))
-            uu, ss = self.users[order], self.services[order]
-            dup = (uu[1:] == uu[:-1]) & (ss[1:] == ss[:-1])
+            # sorted pair keys; equal neighbours are a repeated pair, and the
+            # first of them is the smallest such (user, service)
+            keys = self.users * ns
+            keys += self.services
+            keys.sort()
+            dup = keys[1:] == keys[:-1]
             if dup.any():
-                j = order[1:][dup][0]
-                raise ValueError(f"duplicate (user, service) pair ({self.users[j]}, {self.services[j]})")
+                u, s = divmod(int(keys[np.argmax(dup)]), ns)
+                raise ValueError(f"duplicate (user, service) pair ({u}, {s})")
 
     def __len__(self) -> int:
         return len(self.users)
@@ -161,11 +183,22 @@ class SplitDataset:
 
 
 def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedIndex:
-    order = np.argsort(ids, kind="stable").astype(np.int64)
+    """Group observations by ``ids`` (each below ``shape[0]``), keeping
+    their order inside each group.
+
+    The keys ``ids * n + position`` are unique and sort by id, then by
+    position, so ``key % n`` is the stable grouping order whatever
+    algorithm ``np.sort`` uses. TripleSet bounds every key to int64.
+    """
+    n = len(ids)
+    order = ids * n
+    order += np.arange(n)
+    order.sort()
+    order %= max(n, 1)
     offsets = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=shape[0]), out=offsets[1:])
     # built through scipy so that its index-dtype choice for shape holds
-    m = sp.csr_matrix((np.zeros(len(order)), other_ids[order], offsets), shape=shape)
+    m = sp.csr_matrix((np.zeros(n), other_ids[order], offsets), shape=shape)
     return RaggedIndex(shape=shape, order=order, indices=m.indices, indptr=m.indptr)
 
 
@@ -181,90 +214,149 @@ def build_index(t: TripleSet, role: str = "") -> IndexedDataset:
         by_service=_grouped(t.services, t.users, (t.num_services, t.num_users)))
 
 
+def _loadtxt(path, **kwargs) -> np.ndarray:
+    "np.loadtxt in UTF-8, without its warning for a file that holds no data."
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, encoding="utf-8", **kwargs)
+
+
+def _lines(path, comments: bool):
+    """(line number, tokens) for each line of a text file, split on
+    whitespace as np.loadtxt splits it; with ``comments``, everything from
+    a ``#`` on is dropped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            yield line_no, (raw.split("#", 1)[0] if comments else raw).split()
+
+
+def _count_lines(path) -> int:
+    "Lines of a text file, counted as iterating over it counts them."
+    count, last = 0, "\n"
+    with open(path, "r", encoding="utf-8") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            count += chunk.count("\n")
+            last = chunk[-1]
+    return count + (last != "\n")
+
+
+def _is_id(token: str) -> bool:
+    "Whether np.loadtxt reads token as an int64."
+    return _ID.fullmatch(token) is not None and -_INT64_MAX - 1 <= int(token) <= _INT64_MAX
+
+
+def _is_real(token: str) -> bool:
+    "Whether np.loadtxt reads token as a float64: float() without '_' or non-ASCII digits."
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def load_dense_matrix(path) -> TripleSet:
     """Parse a whitespace-separated dense matrix file into a TripleSet.
 
     Row index = user id, column index = service id. Any strictly
     negative cell is treated as missing and not stored. Raises
-    ValueError with the offending line number on ragged rows or
-    non-numeric tokens; I/O problems propagate as OSError.
+    ValueError with the offending line number on ragged rows (a blank
+    line has 0 columns) or non-numeric tokens (``#`` among them); an
+    empty or all-blank file is the empty 0 x 0 set. I/O problems
+    propagate as OSError.
     """
-    rows = []
-    num_cols = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            tokens = raw.split()
-            try:
-                row = np.array(tokens, dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: non-numeric token") from None
-            if num_cols is None:
-                num_cols = len(row)
-            elif len(row) != num_cols:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {num_cols} columns, got {len(row)}")
-            rows.append(row)
-    if not rows:
+    try:
+        matrix = _loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _dense_error(path, exc) from None
+    if matrix.size == 0:
         return TripleSet(0, 0, np.empty(0, np.int64), np.empty(0, np.int64),
                          np.empty(0, np.float64))
-    matrix = np.vstack(rows)
+    if len(matrix) != _count_lines(path):
+        raise _dense_error(path, "np.loadtxt skipped a line") from None
     users, services = np.nonzero(matrix >= 0)
-    return TripleSet(matrix.shape[0], matrix.shape[1],
-                     users.astype(np.int64), services.astype(np.int64),
+    return TripleSet(matrix.shape[0], matrix.shape[1], users, services,
                      matrix[users, services])
 
 
-def write_dense_matrix(path, t: TripleSet, missing: float = -1.0) -> None:
-    """Inverse of load_dense_matrix for sets whose dims match the matrix."""
-    if missing >= 0:
-        raise ValueError("missing sentinel must be negative")
-    matrix = np.full((t.num_users, t.num_services), missing, dtype=np.float64)
-    matrix[t.users, t.services] = t.values
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix:
-            fh.write(" ".join(repr(float(v)) for v in row))
-            fh.write("\n")
+def _dense_error(path, cause) -> ValueError:
+    """The error naming the first bad line of a dense file, once loading
+    has failed: a non-numeric token, or a column count unlike the first
+    line's. Re-reads the file and builds no data."""
+    num_cols = None
+    for line_no, tokens in _lines(path, comments=False):
+        if not all(map(_is_real, tokens)):
+            return ValueError(f"{path}:{line_no}: non-numeric token")
+        if num_cols is None:
+            num_cols = len(tokens)
+        elif len(tokens) != num_cols:
+            return ValueError(f"{path}:{line_no}: expected {num_cols} columns, got {len(tokens)}")
+    return ValueError(f"{path}: {cause}")
 
 
 def load_triples(path) -> TripleSet:
     """Parse a "user service value" triple file.
 
-    Blank lines and ``#`` comments are skipped. Ids are 0-based dense
-    integers; dimensions are inferred as 1 + max id. Duplicate
-    (user, service) pairs and malformed or negative-id lines raise
-    ValueError with their line number; an empty file has no inferable
+    Blank lines are skipped, and ``#`` starts a comment that runs to the
+    end of its line (so ``0 0 1.0 # note`` is a record). Ids are 0-based
+    dense integers; dimensions are inferred as 1 + max id. A line that
+    is not two ids and a real, a negative id, a non-finite value or a
+    repeated (user, service) pair raises ValueError with its line
+    number: the first line that does not parse, else the first record
+    with a bad value or a repeated pair. An empty file has no inferable
     dimensions and is rejected.
     """
-    users, services, values = [], [], []
-    seen: dict[tuple[int, int], int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 'user service value'")
-            try:
-                u, s, v = int(tokens[0]), int(tokens[1]), float(tokens[2])
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: malformed record") from None
-            if u < 0 or s < 0:
-                raise ValueError(f"{path}:{line_no}: negative id")
-            if not math.isfinite(v):
-                raise ValueError(f"{path}:{line_no}: non-finite value")
-            if (u, s) in seen:
-                raise ValueError(
-                    f"{path}:{line_no}: duplicate pair ({u}, {s}), first seen on line {seen[(u, s)]}")
-            seen[(u, s)] = line_no
-            users.append(u)
-            services.append(s)
-            values.append(v)
-    if not users:
+    try:
+        rec = _loadtxt(path, dtype=_TRIPLE, comments="#", ndmin=1)
+    except ValueError as exc:
+        raise _triples_error(path, exc) from None
+    if len(rec) == 0:
         raise ValueError(f"{path}: no observations")
-    return TripleSet(max(users) + 1, max(services) + 1,
-                     np.array(users, np.int64), np.array(services, np.int64),
-                     np.array(values, np.float64))
+    users, services, values = rec["u"], rec["s"], rec["v"]
+    try:
+        return TripleSet(int(users.max()) + 1, int(services.max()) + 1,
+                         users, services, values)
+    except ValueError as exc:
+        raise _triples_error(path, exc, rec) from None
+
+
+def _triples_error(path, cause, rec=None) -> ValueError:
+    """The error naming the first bad line of a triples file, once
+    loading has failed. Re-reads the file and builds no data.
+
+    Without ``rec`` the file did not parse, and the first line that is
+    not two ids and a real is named. ``rec`` holds the parsed records of
+    a file that TripleSet rejected; then the first record with a
+    negative id or a non-finite value is named, or, before it, the first
+    one that repeats the pair of an earlier one.
+    """
+    rows = enumerate((n, tokens) for n, tokens in _lines(path, comments=True) if tokens)
+    if rec is None:
+        for _, (line_no, tokens) in rows:
+            if len(tokens) != 3:
+                return ValueError(f"{path}:{line_no}: expected 'user service value'")
+            if not (_is_id(tokens[0]) and _is_id(tokens[1]) and _is_real(tokens[2])):
+                return ValueError(f"{path}:{line_no}: malformed record")
+        return ValueError(f"{path}: {cause}")
+    u, s, v = rec["u"], rec["s"], rec["v"]
+    bad = (u < 0) | (s < 0) | ~np.isfinite(v)
+    row = int(np.argmax(bad)) if bad.any() else len(rec)
+    first = None
+    order = np.lexsort((s[:row], u[:row]))  # stable: equal pairs in row order
+    same = (u[order[1:]] == u[order[:-1]]) & (s[order[1:]] == s[order[:-1]])
+    if same.any():
+        repeats, firsts = order[1:][same], order[:-1][same]
+        k = np.argmin(repeats)
+        row, first = int(repeats[k]), int(firsts[k])
+    elif row == len(rec):
+        return ValueError(f"{path}: {cause}")
+    line = {k: line_no for k, (line_no, _) in islice(rows, row + 1) if k in (row, first)}
+    if first is not None:
+        return ValueError(f"{path}:{line[row]}: duplicate pair ({u[row]}, {s[row]}), "
+                          f"first seen on line {line[first]}")
+    what = "negative id" if u[row] < 0 or s[row] < 0 else "non-finite value"
+    return ValueError(f"{path}:{line[row]}: {what}")
 
 
 def write_triples(path, t: TripleSet) -> None:
@@ -278,20 +370,13 @@ def sniff_format(path) -> str:
     """Guess dense vs triples from the first data line.
 
     Exactly three tokens with integer ids reads as triples; anything
-    else as dense. Ambiguous files should state the format explicitly.
+    else as dense. Comments are dropped as the triples loader drops
+    them. Ambiguous files should state the format explicitly.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) == 3:
-                try:
-                    int(tokens[0]), int(tokens[1]), float(tokens[2])
-                    return "triples"
-                except ValueError:
-                    return "dense"
+    for _, tokens in _lines(path, comments=True):
+        if tokens:
+            if len(tokens) == 3 and _is_id(tokens[0]) and _is_id(tokens[1]) and _is_real(tokens[2]):
+                return "triples"
             return "dense"
     return "triples"
 

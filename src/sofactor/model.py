@@ -153,14 +153,6 @@ def init_factors(num_users: int, num_services: int, h: Hyperparams) -> FactorSta
         service_factors=rng.uniform(h.init_lo, h.init_hi, size=(num_services, h.f)))
 
 
-def predict(x: FactorState, u: int, s: int) -> float:
-    if not 0 <= u < x.num_users:
-        raise IndexError(f"user id {u} out of range")
-    if not 0 <= s < x.num_services:
-        raise IndexError(f"service id {s} out of range")
-    return float(x.user_factors[u] @ x.service_factors[s])
-
-
 def predict_observed(x: FactorState, t: TripleSet) -> np.ndarray:
     "Predictions for every observation of t, in observation order."
     return sampled_dots(t.users, t.services, ((x.user_factors, x.service_factors),))

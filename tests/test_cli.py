@@ -5,8 +5,10 @@ import dataclasses
 import pytest
 
 from sofactor.cli import _hyper_from_args, build_parser, main, resolve_data_path
-from sofactor.data import load_triples, sniff_format, synth_lowrank, write_dense_matrix, write_triples
+from sofactor.data import load_triples, sniff_format, synth_lowrank, write_triples
 from sofactor.model import Hyperparams, load_factors
+
+from oracles import write_dense_matrix
 
 
 def write_synth_file(path, seed=0):

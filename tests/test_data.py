@@ -5,6 +5,7 @@ python dictionaries; file formats against hand-written fixtures.
 """
 
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -15,15 +16,19 @@ from sofactor.cg import cg_solve
 from sofactor.data import (
     IndexedDataset,
     TripleSet,
+    _grouped,
     build_index,
+    load_dataset,
     load_dense_matrix,
     load_triples,
+    sniff_format,
     split,
     synth_lowrank,
-    write_dense_matrix,
     write_triples,
 )
 from sofactor.model import Hyperparams, init_factors
+
+from oracles import write_dense_matrix
 
 
 def small_set():
@@ -52,6 +57,58 @@ def test_tripleset_rejects_duplicate_pair():
                   np.array([0, 1, 1]),
                   np.array([2, 2, 2]),
                   np.array([1.0, 2.0, 3.0]))
+
+
+def lexsort_duplicate_pair(users, services):
+    "The pair a duplicate-check built on np.lexsort names: the smallest repeated one."
+    order = np.lexsort((services, users))
+    uu, ss = users[order], services[order]
+    j = order[1:][(uu[1:] == uu[:-1]) & (ss[1:] == ss[:-1])][0]
+    return int(users[j]), int(services[j])
+
+
+def test_duplicate_among_many_rows_names_the_smallest_repeated_pair():
+    rng = np.random.default_rng(5)
+    nu, ns, n = 3000, 2000, 200_000
+    cells = rng.choice(nu * ns, size=n, replace=False)
+    # repeat three pairs at random rows, out of order
+    cells[rng.choice(n, 3, replace=False)] = cells[rng.choice(n, 3, replace=False)]
+    users, services = cells // ns, cells % ns
+    u, s = lexsort_duplicate_pair(users, services)
+    with pytest.raises(ValueError, match=rf"duplicate \(user, service\) pair \({u}, {s}\)$"):
+        TripleSet(nu, ns, users, services, np.ones(n))
+
+
+INT64_MAX = 2**63 - 1
+
+
+def test_sort_keys_fit_int64_up_to_the_bound():
+    # 21870289 * 421730688463 == 2**63 - 1: the largest pair key,
+    # (nu - 1) * ns + ns - 1, is INT64_MAX - 1 and still exact
+    nu, ns = 21870289, 421730688463
+    assert nu * ns == INT64_MAX
+    corner = (np.array([nu - 1, nu - 1, 0]), np.array([ns - 1, ns - 2, ns - 1]))
+    assert len(TripleSet(nu, ns, *corner, np.ones(3))) == 3
+    with pytest.raises(ValueError, match=rf"pair \({nu - 1}, {ns - 1}\)"):
+        TripleSet(nu, ns, np.array([nu - 1, 0, nu - 1]), np.array([ns - 1, 0, ns - 1]),
+                  np.ones(3))
+
+
+@pytest.mark.parametrize("nu,ns,n", [
+    (2**62, 2, 0),      # pair keys: nu * ns = 2**63
+    (2**32, 2**31, 1),  # likewise
+    (2**61, 2, 4),      # grouping keys: max(nu, ns) * n = 2**63
+    (3, 2**61, 4),
+])
+def test_tripleset_rejects_dims_beyond_int64_sort_keys(nu, ns, n):
+    with pytest.raises(ValueError, match="too large for int64 sort keys"):
+        TripleSet(nu, ns, np.zeros(n, np.int64), np.arange(n), np.ones(n))
+
+
+def test_tripleset_accepts_grouping_keys_just_inside_int64():
+    # max(nu, ns) * n == 3 * 2**61 < 2**63
+    t = TripleSet(2**61, 2, np.array([0, 1, 2**61 - 1]), np.zeros(3, np.int64), np.ones(3))
+    assert len(t) == 3
 
 
 @pytest.mark.parametrize("make", [
@@ -186,6 +243,147 @@ def test_triples_value_roundtrip_exact(tmp_path_factory, v):
     assert load_triples(p).values[0] == v
 
 
+def test_load_triples_error_cites_file_line_after_comments_and_blanks(tmp_path):
+    head = "# a\n\n0 0 1.0\n"
+    for body, msg in [("0 x 1.0\n", "4: malformed record"),
+                      ("   \n# b\n-1 0 1.0\n", "6: negative id"),
+                      ("\n0 1 nan\n", "5: non-finite value"),
+                      ("# b\n0 0 2.0\n", r"5: duplicate pair \(0, 0\), first seen on line 3")]:
+        p = tmp_path / "t.txt"
+        p.write_text(head + body)
+        with pytest.raises(ValueError, match=rf"t\.txt:{msg}"):
+            load_triples(p)
+
+
+@pytest.mark.parametrize("body,msg", [
+    ("0 0 1.0\n0 0 2.0\n-1 0 1.0\n", r"2: duplicate pair \(0, 0\), first seen on line 1"),
+    ("0 0 1.0\n-1 0 1.0\n0 0 2.0\n", "2: negative id"),
+    ("1 1 inf\n0 0 1.0\n0 0 2.0\n0 x 1\n", "4: malformed record"),
+    ("2 2 1.0\n1 1 1.0\n2 2 1.0\n1 1 1.0\n", r"3: duplicate pair \(2, 2\), first seen on line 1"),
+])
+def test_load_triples_names_first_unparsable_else_first_bad_record(tmp_path, body, msg):
+    p = tmp_path / "t.txt"
+    p.write_text(body)
+    with pytest.raises(ValueError, match=rf"t\.txt:{msg}"):
+        load_triples(p)
+
+
+@pytest.mark.parametrize("token", ["1_0", "0x10", "1.5", "1e3", "9223372036854775808", "\u0661"])
+def test_load_triples_rejects_non_decimal_ids(tmp_path, token):
+    p = tmp_path / "t.txt"
+    p.write_text(f"0 0 1.0\n{token} 0 1.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"t\.txt:2: malformed record"):
+        load_triples(p)
+
+
+@pytest.mark.parametrize("token", ["1_0", "0x10", "1d3", "\u0661"])
+def test_loaders_reject_non_decimal_values(tmp_path, token):
+    p = tmp_path / "t.txt"
+    p.write_text(f"0 0 1.0\n0 1 {token}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"t\.txt:2: malformed record"):
+        load_triples(p)
+    p.write_text(f"1 2\n3 {token}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"t\.txt:2: non-numeric token"):
+        load_dense_matrix(p)
+
+
+def test_load_triples_reads_signed_ids_and_exponent_values(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("+1 0 1e-3\n0 +2 -2.5E+2\n")
+    t = load_triples(p)
+    assert t.users.tolist() == [1, 0] and t.services.tolist() == [0, 2]
+    assert t.values.tolist() == [1e-3, -250.0]
+
+
+@pytest.mark.parametrize("eol,sep", [("\r\n", " "), ("\n", "\t"), ("\r\n", "\t"), ("\r", " ")],
+                         ids=["crlf", "tab", "crlf-tab", "cr"])
+def test_loaders_read_crlf_and_tab_separated_files(tmp_path, eol, sep):
+    p = tmp_path / "t.txt"
+    p.write_bytes(f"# c{eol}0{sep}1{sep}2.5{eol}{eol}1{sep}0{sep}0.5{eol}".encode())
+    t = load_triples(p)
+    assert (t.num_users, t.num_services) == (2, 2)
+    assert t.values.tolist() == [2.5, 0.5]
+    p.write_bytes(f"1.5{sep}-1{eol}0{sep}2{eol}".encode())
+    t = load_dense_matrix(p)
+    assert (t.num_users, t.num_services) == (2, 2)
+    assert t.values.tolist() == [1.5, 0.0, 2.0]
+    p.write_bytes(f"1.5{sep}-1{eol}{eol}0{sep}2{eol}".encode())
+    with pytest.raises(ValueError, match=r"t\.txt:2: expected 2 columns, got 0"):
+        load_dense_matrix(p)
+
+
+def test_loaders_read_a_last_line_without_newline(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("1.5 -1\n0 2")
+    assert load_dense_matrix(p).values.tolist() == [1.5, 0.0, 2.0]
+    p.write_text("0 0 1.5\n1 1 2")
+    assert load_triples(p).values.tolist() == [1.5, 2.0]
+
+
+def test_load_triples_accepts_inline_comment(tmp_path):
+    # from "#" to the end of the line is a comment, on any line
+    p = tmp_path / "t.txt"
+    p.write_text("0 0 1.0 # note\n1 2 0.5#x\n")
+    t = load_triples(p)
+    assert t.users.tolist() == [0, 1] and t.services.tolist() == [0, 2]
+    assert t.values.tolist() == [1.0, 0.5]
+    assert sniff_format(p) == "triples"
+    assert len(load_dataset(p)) == 2
+
+
+def test_load_triples_ids_beyond_int64_sort_keys_name_the_file(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text(f"0 0 1.0\n{2**62} 4 1.0\n")
+    with pytest.raises(ValueError, match=r"t\.txt: .*too large for int64 sort keys"):
+        load_triples(p)
+
+
+@pytest.mark.parametrize("body,line,cols", [
+    ("1 2\n\n3 4\n", 2, 2),
+    ("1 2\n3 4\n   \n", 3, 2),
+    ("1 2\n3 4\n\n", 3, 2),
+])
+def test_load_dense_matrix_blank_line_cites_line(tmp_path, body, line, cols):
+    p = tmp_path / "m.txt"
+    p.write_text(body)
+    with pytest.raises(ValueError, match=rf"m\.txt:{line}: expected {cols} columns, got 0"):
+        load_dense_matrix(p)
+
+
+def test_load_dense_matrix_leading_blank_line_sets_zero_columns(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("\n1 2\n")
+    with pytest.raises(ValueError, match=r"m\.txt:2: expected 0 columns, got 2"):
+        load_dense_matrix(p)
+
+
+@pytest.mark.parametrize("body", ["1 2\n# c\n3 4\n", "1 2 # c\n3 4\n"])
+def test_load_dense_matrix_hash_is_non_numeric(tmp_path, body):
+    p = tmp_path / "m.txt"
+    p.write_text(body)
+    with pytest.raises(ValueError, match=r"m\.txt:\d: non-numeric"):
+        load_dense_matrix(p)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "  \n\t\n"], ids=["empty", "blank", "blanks"])
+def test_load_dense_matrix_empty_or_blank_file_is_empty_set(tmp_path, body):
+    p = tmp_path / "m.txt"
+    p.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = load_dense_matrix(p)
+    assert (t.num_users, t.num_services, len(t)) == (0, 0, 0)
+
+
+def test_load_triples_empty_file_warns_nothing(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("\n# only a comment\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no observations"):
+            load_triples(p)
+
+
 # ---------------------------------------------------------------- index
 
 def group(index, i):
@@ -212,6 +410,20 @@ def test_build_index_matches_bruteforce():
             assert list(group(d.by_service, s)) == by_s.get(s, [])
         assert np.array_equal(d.user_counts, [len(by_u.get(u, [])) for u in range(nu)])
         assert np.array_equal(d.service_counts, [len(by_s.get(s, [])) for s in range(ns)])
+
+
+@pytest.mark.parametrize("n,num_ids", [
+    (0, 1), (0, 5), (1, 1), (1, 7), (50, 3), (300_000, 4), (300_000, 70_000), (200_000, 1_000_000),
+])
+def test_grouped_order_is_stable_argsort(n, num_ids):
+    rng = np.random.default_rng(n + num_ids)
+    ids = rng.integers(0, num_ids, size=n)
+    other = rng.integers(0, 9, size=n)
+    g = _grouped(ids, other, (num_ids, 9))
+    assert g.order.dtype == np.int64
+    assert np.array_equal(g.order, np.argsort(ids, kind="stable"))
+    assert np.array_equal(g.indices, other[g.order])
+    assert np.array_equal(g.counts, np.bincount(ids, minlength=num_ids))
 
 
 def test_index_preserves_observation_order_within_group():

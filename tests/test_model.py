@@ -22,11 +22,12 @@ from sofactor.model import (
     load_factors,
     loss_data,
     objective,
-    predict,
     predict_observed,
     rmse,
     save_factors,
 )
+
+from oracles import predict
 
 
 def random_problem(rng, max_dim=8, max_f=3, lo=0.2, hi=1.2):
