@@ -99,6 +99,9 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         p = r + (rs_next / rs) * p
         rs = rs_next
 
+    # the recompute product is where the solve's memory peaks; drop the
+    # iteration vectors first (best_delta is a copy, not a view of delta)
+    del p, ap, r, delta
     if best_inf < r0_inf:
         final = float(np.abs(b - apply_a(best_delta)).max())
     else:  # no iterate beat delta = 0, and b - A*0 is b exactly

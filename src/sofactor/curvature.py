@@ -29,13 +29,15 @@ class CurvatureContext:
     """Precomputed pieces for repeated curvature products at a fixed point.
 
     Built once per outer epoch from the current factors, the indexed
-    train split, and hyperparameters; only the diagonal regularizer
-    coefficients are cached. Every product is one blocked gather pass
-    (J v reads its factor rows from x block by block, holding no
-    per-observation copy) plus two sparse accumulations. The context
-    must be treated as read-only and rebuilt whenever x changes: it
-    keeps references to the factor matrices, so mutating x while a
-    context is live invalidates it.
+    train split, and hyperparameters. It caches the diagonal regularizer
+    coefficients (the L1 ones only when lambda_r1 > 0, since the L1 term
+    is absent otherwise) and one J v scratch buffer. Every product is one
+    blocked gather pass in the train set's user-major order (J v reads
+    its factor rows from x block by block, holding no per-observation
+    copy) plus two sparse accumulations. The context must be treated as
+    read-only and rebuilt whenever x changes: it keeps references to the
+    factor matrices, so mutating x while a context is live invalidates
+    it.
     """
 
     def __init__(self, x: FactorState, data: IndexedDataset, h: Hyperparams):
@@ -48,11 +50,13 @@ class CurvatureContext:
         self._jv = np.empty(len(data))  # scratch reused across products
         cu = data.user_counts[:, None].astype(np.float64)
         cs = data.service_counts[:, None].astype(np.float64)
-        # diagonal Hessian of the smooth L1 term:
-        #   d^2/dx^2 sqrt(x^2 + eps) = eps / (x^2 + eps)^(3/2)
-        e = h.epsilon
-        self._l1_diag_u = h.lambda_r1 * cu * e / np.power(x.user_factors ** 2 + e, 1.5)
-        self._l1_diag_s = h.lambda_r1 * cs * e / np.power(x.service_factors ** 2 + e, 1.5)
+        self._l1_diag_u = self._l1_diag_s = None
+        if h.lambda_r1 > 0:
+            # diagonal Hessian of the smooth L1 term:
+            #   d^2/dx^2 sqrt(x^2 + eps) = eps / (x^2 + eps)^(3/2)
+            e = h.epsilon
+            self._l1_diag_u = h.lambda_r1 * cu * e / np.power(x.user_factors ** 2 + e, 1.5)
+            self._l1_diag_s = h.lambda_r1 * cs * e / np.power(x.service_factors ** 2 + e, 1.5)
         self._l2_diag_u = h.lambda_r2 * cu
         self._l2_diag_s = h.lambda_r2 * cs
 
@@ -60,14 +64,16 @@ class CurvatureContext:
         return split_vector(v, self.x.num_users, self.x.num_services, self.x.f)
 
     def jacobian_vector(self, v: np.ndarray) -> np.ndarray:
-        """J v: directional derivative of every prediction, one entry per observation.
+        """J v: directional derivative of every prediction, one entry per
+        observation, in the train set's user-major order (the order the
+        weighted sums take; ``data.by_user.order`` maps it to stored order).
 
         Returns the context's scratch buffer, which the next product
         overwrites; copy it to keep it.
         """
         vu, vs = self._views(v)
-        t = self.data.base
-        return sampled_dots(t.users, t.services,
+        um = self.data.user_major
+        return sampled_dots(um.users, um.services,
                             ((vu, self.x.service_factors), (self.x.user_factors, vs)),
                             out=self._jv)
 
@@ -79,6 +85,8 @@ class CurvatureContext:
         return pack_blocks(wu, ws)
 
     def reg_l1_hvp(self, v: np.ndarray) -> np.ndarray:
+        if self._l1_diag_u is None:
+            return np.zeros(self.dim)
         vu, vs = self._views(v)
         return pack_blocks(self._l1_diag_u * vu, self._l1_diag_s * vs)
 
@@ -92,13 +100,15 @@ class CurvatureContext:
         gamma enters linearly (gamma * v), which together with the
         positive semidefinite Gauss-Newton part and the nonnegative
         regularizer diagonals makes the operator positive definite for
-        gamma > 0.
+        gamma > 0. At lambda_r1 = 0 the L1 product is not added: it is
+        all zeros, and the Gauss-Newton part is never -0.0 (its sums
+        start at +0.0), so adding it would change no bit.
         """
         v = np.asarray(v, dtype=np.float64)
         out = self.gn_hvp(v)
-        out += self.reg_l1_hvp(v)
+        if self._l1_diag_u is not None:
+            out += self.reg_l1_hvp(v)
         out += self.reg_l2_hvp(v)
         if self.h.gamma != 0:
             out += self.h.gamma * v
         return out
-

@@ -22,6 +22,7 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -122,15 +123,33 @@ class RaggedIndex:
         return np.diff(self.indptr).astype(np.int64)
 
     def weighted_sums(self, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """out[i] = sum over k in group i of weights[k] * rows[j_k], where
-        j_k is the other entity's id of observation k.
+        """out[i] = sum over the observations k of group i of
+        weights[k] * rows[j_k], where j_k is the other entity's id of k.
 
-        weights is per-observation (len |K|); rows has one row per id of
-        the other entity.
+        weights holds one entry per observation in this index's group
+        order, the order of ``order`` (entry p belongs to observation
+        ``order[p]``); rows has one row per id of the other entity.
         """
-        m = sp.csr_matrix((np.asarray(weights, dtype=np.float64)[self.order],
+        m = sp.csr_matrix((np.asarray(weights, dtype=np.float64),
                            self.indices, self.indptr), shape=self.shape)
         return m @ rows
+
+
+@dataclass(frozen=True, eq=False)
+class UserMajorOrder:
+    """The work order of per-observation vectors in training passes.
+
+    Position p holds observation ``by_user.order[p]`` of its dataset:
+    observations grouped by user, in stored order inside each user.
+    ``users`` and ``services`` give the ids at each position, and
+    ``to_service`` maps the positions onto ``by_service``'s group order
+    (``w[to_service]`` is w in that order). All three are in the CSR
+    index dtype of the dataset's groupings.
+    """
+
+    users: np.ndarray
+    services: np.ndarray
+    to_service: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +160,15 @@ class IndexedDataset:
     set K_u); ``by_service`` likewise for services. The groupings double as
     fixed sparsity structure for the weighted accumulations used by
     gradients and curvature products, so they are precomputed once
-    here. Immutable after construction; safe for shared reads.
+    here.
+
+    Per-observation vectors come in one of two orders. Stored order is
+    that of ``base``; predictions, residuals and RMSE use it. User-major
+    order (``user_major``) is the order of ``by_user``; the weighted
+    sums take their weights in it, so the data gradient and J v, which
+    feed them, are computed in it too. Its view is built on first use,
+    which only training passes make. Immutable apart from that cached
+    view, whose build is idempotent; safe for shared reads.
     """
 
     base: TripleSet
@@ -160,16 +187,31 @@ class IndexedDataset:
     def service_counts(self) -> np.ndarray:
         return self.by_service.counts
 
+    @cached_property
+    def user_major(self) -> UserMajorOrder:
+        "The user-major work order, built on first use and then cached."
+        indptr = self.by_user.indptr
+        dtype = indptr.dtype  # holds len(self), so every position fits
+        position = np.empty(len(self), dtype=dtype)
+        position[self.by_user.order] = np.arange(len(self), dtype=dtype)
+        return UserMajorOrder(
+            users=np.repeat(np.arange(len(indptr) - 1, dtype=dtype), np.diff(indptr)),
+            services=self.by_user.indices,
+            to_service=position[self.by_service.order])
+
     def user_weighted_sums(self, weights: np.ndarray, service_rows: np.ndarray) -> np.ndarray:
         """out[u] = sum over k in K_u of weights[k] * service_rows[service_k].
 
-        weights is per-observation (len |K|); service_rows is (num_services, f).
+        weights is per-observation (len |K|) in user-major order;
+        service_rows is (num_services, f).
         """
         return self.by_user.weighted_sums(weights, service_rows)
 
     def service_weighted_sums(self, weights: np.ndarray, user_rows: np.ndarray) -> np.ndarray:
-        """out[s] = sum over k in K_s of weights[k] * user_rows[user_k]."""
-        return self.by_service.weighted_sums(weights, user_rows)
+        """out[s] = sum over k in K_s of weights[k] * user_rows[user_k],
+        with weights in user-major order."""
+        weights = np.asarray(weights, dtype=np.float64)
+        return self.by_service.weighted_sums(weights[self.user_major.to_service], user_rows)
 
 
 @dataclass(frozen=True, eq=False)

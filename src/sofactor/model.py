@@ -201,11 +201,14 @@ def data_gradient(x: FactorState, d: IndexedDataset) -> np.ndarray:
     """Gradient of the half-SSE term: -(q - yhat) scattered through the factors.
 
     For user u: sum over its observations of -(q - yhat) * x_s, and
-    symmetrically for services.
+    symmetrically for services. The residuals are computed in d's
+    user-major order, the order the weighted sums take.
     """
-    r = residuals(x, d.base)
-    gu = d.user_weighted_sums(-r, x.service_factors)
-    gs = d.service_weighted_sums(-r, x.user_factors)
+    um = d.user_major
+    yhat = sampled_dots(um.users, um.services, ((x.user_factors, x.service_factors),))
+    neg_r = -(d.base.values[d.by_user.order] - yhat)
+    gu = d.user_weighted_sums(neg_r, x.service_factors)
+    gs = d.service_weighted_sums(neg_r, x.user_factors)
     return pack_blocks(gu, gs)
 
 

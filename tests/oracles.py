@@ -2,9 +2,11 @@
 and fixture writers that only the tests use."""
 
 import numpy as np
+import scipy.sparse as sp
 
-from sofactor.data import IndexedDataset, TripleSet
-from sofactor.model import FactorState
+from sofactor.data import IndexedDataset, RaggedIndex, TripleSet
+from sofactor.model import FactorState, Hyperparams, residuals, split_vector
+from sofactor.sddmm import sampled_dots
 
 
 def predict(x: FactorState, u: int, s: int) -> float:
@@ -48,3 +50,40 @@ def dense_gn_oracle(x: FactorState, data: IndexedDataset) -> np.ndarray:
             jac[k, u * f + d] = x.service_factors[s, d]
             jac[k, cut + s * f + d] = x.user_factors[u, d]
     return jac.T @ jac
+
+
+def _stored_order_sums(index: RaggedIndex, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    "Weighted sums over a grouping, with weights in stored observation order."
+    m = sp.csr_matrix((weights[index.order], index.indices, index.indptr), shape=index.shape)
+    return m @ rows
+
+
+def stored_order_data_gradient(x: FactorState, data: IndexedDataset) -> np.ndarray:
+    """Data-term gradient from residuals in stored observation order, each
+    weighted sum gathering them through its own grouping."""
+    r = residuals(x, data.base)
+    gu = _stored_order_sums(data.by_user, -r, x.service_factors)
+    gs = _stored_order_sums(data.by_service, -r, x.user_factors)
+    return np.concatenate([gu.ravel(), gs.ravel()])
+
+
+def stored_order_damped_hvp(x: FactorState, data: IndexedDataset, h: Hyperparams,
+                            v: np.ndarray) -> np.ndarray:
+    """(G_E + gamma*I) v with J v in stored observation order, and the L1
+    product added even when lambda_r1 = 0."""
+    t = data.base
+    vu, vs = split_vector(v, x.num_users, x.num_services, x.f)
+    jv = sampled_dots(t.users, t.services,
+                      ((vu, x.service_factors), (x.user_factors, vs)))
+    out = np.concatenate([_stored_order_sums(data.by_user, jv, x.service_factors).ravel(),
+                          _stored_order_sums(data.by_service, jv, x.user_factors).ravel()])
+    cu = data.user_counts[:, None].astype(np.float64)
+    cs = data.service_counts[:, None].astype(np.float64)
+    e = h.epsilon
+    l1u = h.lambda_r1 * cu * e / np.power(x.user_factors ** 2 + e, 1.5)
+    l1s = h.lambda_r1 * cs * e / np.power(x.service_factors ** 2 + e, 1.5)
+    out += np.concatenate([(l1u * vu).ravel(), (l1s * vs).ravel()])
+    out += np.concatenate([(h.lambda_r2 * cu * vu).ravel(), (h.lambda_r2 * cs * vs).ravel()])
+    if h.gamma != 0:
+        out += h.gamma * v
+    return out

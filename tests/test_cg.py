@@ -1,5 +1,7 @@
 """Inner solver tests: SPD correctness, termination rule, failure modes."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,23 @@ def test_identity_operator_converges_in_one_iteration():
     assert res.iterations == 1
     assert res.converged
     np.testing.assert_allclose(res.delta, -g, atol=1e-15)
+
+
+def test_iteration_vectors_are_released_before_the_recompute_product():
+    # one capped iteration improves on delta = 0, so a recompute product
+    # follows; by then no earlier argument or product may be alive
+    a = np.diag([1.0, 2.0, 3.0])
+    seen, alive_at_call = [], []
+
+    def apply_a(p):
+        alive_at_call.append([ref() is not None for ref in seen])
+        ap = a @ p
+        seen.extend((weakref.ref(p), weakref.ref(ap)))
+        return ap
+
+    res = cg_solve(apply_a, np.ones(3), tau=1e-9, max_iters=1)
+    assert res.iterations == 1 and len(alive_at_call) == 2
+    assert alive_at_call[1] == [False, False]
 
 
 def test_quadratic_model_decrease_on_damped_curvature():

@@ -47,7 +47,8 @@ def test_jacobian_euler_identity_for_bilinear_map():
     d, x = random_problem(rng)
     ctx = CurvatureContext(x, d, Hyperparams(f=x.f))
     jv = ctx.jacobian_vector(x.as_vector())
-    np.testing.assert_allclose(jv, 2 * predict_observed(x, d.base), rtol=1e-13)
+    np.testing.assert_allclose(jv, 2 * predict_observed(x, d.base)[d.by_user.order],
+                               rtol=1e-13)
 
 
 def test_hvp_zero_vector_and_scaling():
@@ -77,13 +78,13 @@ def test_jacobian_vector_matches_bruteforce_and_fd():
         want = np.array([
             float(vu[u] @ x.service_factors[s] + x.user_factors[u] @ vs[s])
             for u, s in zip(d.base.users, d.base.services)])
-        np.testing.assert_allclose(jv, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(jv, want[d.by_user.order], rtol=1e-12, atol=1e-12)
         # directional derivative of the predictions
         step = 1e-7
         xp = FactorState.from_vector(x.num_users, x.num_services, x.f, x.as_vector() + step * v)
         xm = FactorState.from_vector(x.num_users, x.num_services, x.f, x.as_vector() - step * v)
         fd = (predict_observed(xp, d.base) - predict_observed(xm, d.base)) / (2 * step)
-        np.testing.assert_allclose(jv, fd, rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(jv, fd[d.by_user.order], rtol=1e-6, atol=1e-8)
 
 
 def test_jacobian_vector_reuses_scratch_buffer():

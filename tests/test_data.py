@@ -447,8 +447,9 @@ def test_weighted_sums_match_bruteforce():
     for k, (u, s) in enumerate(zip(t.users, t.services)):
         by_user[u] += w[k] * svc_rows[s]
         by_service[s] += w[k] * usr_rows[u]
-    np.testing.assert_allclose(d.user_weighted_sums(w, svc_rows), by_user, atol=1e-12)
-    np.testing.assert_allclose(d.service_weighted_sums(w, usr_rows), by_service, atol=1e-12)
+    w_um = w[d.by_user.order]  # the weighted sums take user-major order
+    np.testing.assert_allclose(d.user_weighted_sums(w_um, svc_rows), by_user, atol=1e-12)
+    np.testing.assert_allclose(d.service_weighted_sums(w_um, usr_rows), by_service, atol=1e-12)
 
 
 def test_cached_scatter_structure_matches_fresh_csr_build():
@@ -472,8 +473,9 @@ def test_cached_scatter_structure_matches_fresh_csr_build():
 
     w1 = rng.standard_normal(len(t))
     w2 = rng.standard_normal(len(t))
-    first = (d.user_weighted_sums(w1, svc_rows), d.service_weighted_sums(w1, usr_rows))
-    second = (d.user_weighted_sums(w2, svc_rows), d.service_weighted_sums(w2, usr_rows))
+    um1, um2 = w1[d.by_user.order], w2[d.by_user.order]  # user-major order
+    first = (d.user_weighted_sums(um1, svc_rows), d.service_weighted_sums(um1, usr_rows))
+    second = (d.user_weighted_sums(um2, svc_rows), d.service_weighted_sums(um2, usr_rows))
     for got, want in zip(first + second, fresh(w1) + fresh(w2)):
         assert np.array_equal(got, want)
 
