@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
-from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .data import TripleSet, load_dataset, split
+from .data import TripleSet, split
 from .model import Hyperparams, rmse
 from .train import OptimizerKind, train
 
@@ -36,11 +35,9 @@ class GridSpec:
     fixed: Hyperparams = Hyperparams()
 
     def __post_init__(self):
-        for name in ("lambda_r1_values", "lambda_r2_values", "gamma_values",
-                     "learning_rate_values", "momentum_values"):
-            vals = getattr(self, name)
-            if len(vals) == 0:
-                raise ValueError(f"{name} must not be empty")
+        for fd in fields(self):
+            if fd.name != "fixed" and len(getattr(self, fd.name)) == 0:
+                raise ValueError(f"{fd.name} must not be empty")
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ class BenchTable:
         return out.getvalue()
 
 
-def run_benchmark(data: Union[TripleSet, str, Path],
+def run_benchmark(data: TripleSet,
                   configs: Sequence[tuple[str, float, float]],
                   seeds: Sequence[int],
                   models: Sequence[OptimizerKind],
@@ -180,17 +177,14 @@ def run_benchmark(data: Union[TripleSet, str, Path],
                   log=None) -> BenchTable:
     """Train every (config, model, seed) combination and aggregate.
 
-    data is an in-memory TripleSet or the path of a dataset file in
-    either supported text format. configs are (label, train_frac,
-    val_frac) splitting recipes applied to data with each seed; the same
-    seed drives both the split and the factor init of its run. h may be
-    a single Hyperparams shared by all models or a mapping from model
-    name to per-model settings. Row order is configs as given, models in
-    fixed presentation order (SGDM, SLF, DRSLF), independent of the
-    order requested.
+    configs are (label, train_frac, val_frac) splitting recipes applied
+    to the in-memory TripleSet data with each seed; the same seed drives
+    both the split and the factor init of its run. h may be a single
+    Hyperparams shared by all models or a mapping from model name to
+    per-model settings. Row order is configs as given, models in fixed
+    presentation order (SGDM, SLF, DRSLF), independent of the order
+    requested.
     """
-    if isinstance(data, (str, Path)):
-        data = load_dataset(data)
     if len(models) == 0:
         raise ValueError("no models requested")
     if len(seeds) == 0:

@@ -53,23 +53,21 @@ def _parse_model(label: str) -> str:
 
 
 def _make_kind(name: str, args) -> OptimizerKind:
+    "Only SGDM takes the optimizer knobs from its flags."
     if name == "SGDM":
-        return OptimizerKind.sgdm(args.learning_rate, args.momentum)
+        return _from_args(OptimizerKind, args, name=name)
     return OptimizerKind(name=name)
 
 
-def _float_list(text: str) -> tuple:
-    vals = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if not vals:
-        raise argparse.ArgumentTypeError("empty value list")
-    return vals
-
-
-def _int_list(text: str) -> tuple:
-    vals = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    if not vals:
-        raise argparse.ArgumentTypeError("empty value list")
-    return vals
+def _list_of(convert):
+    "Parser of a comma list of convert()ed values, at least one."
+    def parse(text: str) -> tuple:
+        vals = tuple(convert(tok) for tok in text.split(",") if tok.strip())
+        if not vals:
+            raise argparse.ArgumentTypeError("empty value list")
+        return vals
+    parse.__name__ = f"_{convert.__name__}_list"  # argparse names it in errors
+    return parse
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -77,23 +75,28 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("auto", "dense", "triples"), default="auto")
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per Hyperparams field but the seed: --name with '_' as
-    '-', with the field's default and that default's type.
+def _add_field_flags(p: argparse.ArgumentParser, cls, skip: str) -> None:
+    """One flag per field of the dataclass cls but skip: --name with '_'
+    as '-', with the field's default and that default's type. A tuple
+    default takes a comma list of its first element's type.
 
-    train and grid take the seed from the split's --seed; bench sets it
-    per run from --seeds.
+    For Hyperparams, skip is the seed: train and grid take it from the
+    split's --seed, and bench sets it per run from --seeds.
     """
-    for fd in dataclasses.fields(Hyperparams):
-        if fd.name != "seed":
-            p.add_argument("--" + fd.name.replace("_", "-"),
-                           type=type(fd.default), default=fd.default)
+    for fd in dataclasses.fields(cls):
+        if fd.name != skip:
+            convert = type(fd.default)
+            if convert is tuple:
+                convert = _list_of(type(fd.default[0]))
+            p.add_argument("--" + fd.name.replace("_", "-"), type=convert, default=fd.default)
 
 
-def _hyper_from_args(args) -> Hyperparams:
+def _from_args(cls, args, **overrides):
+    """An instance of the dataclass cls from the parsed flags named after
+    its fields, with overrides taking precedence."""
     given = vars(args)
-    return Hyperparams(**{fd.name: given[fd.name]
-                          for fd in dataclasses.fields(Hyperparams) if fd.name in given})
+    return cls(**{fd.name: given[fd.name]
+                  for fd in dataclasses.fields(cls) if fd.name in given} | overrides)
 
 
 def cmd_ingest(args) -> int:
@@ -127,7 +130,7 @@ def cmd_split(args) -> int:
 def cmd_train(args) -> int:
     t = load_dataset(args.data, args.format)
     sp = data_mod.split(t, args.train_frac, args.val_frac, args.seed)
-    h = _hyper_from_args(args)
+    h = _from_args(Hyperparams, args)
     kind = _make_kind(_parse_model(args.model), args)
     state, report = train(sp, h, kind)
     if args.out:
@@ -142,15 +145,9 @@ def cmd_train(args) -> int:
 def cmd_grid(args) -> int:
     t = load_dataset(args.data, args.format)
     sp = data_mod.split(t, args.train_frac, args.val_frac, args.seed)
-    h = _hyper_from_args(args)
+    h = _from_args(Hyperparams, args)
     kind = _make_kind(_parse_model(args.model), args)
-    grid = bench_mod.GridSpec(
-        lambda_r1_values=args.lambda_r1_values,
-        lambda_r2_values=args.lambda_r2_values,
-        gamma_values=args.gamma_values,
-        learning_rate_values=args.learning_rate_values,
-        momentum_values=args.momentum_values,
-        fixed=h)
+    grid = _from_args(bench_mod.GridSpec, args, fixed=h)
     progress = None
     if args.progress:
         def progress(r):
@@ -183,7 +180,7 @@ def cmd_bench(args) -> int:
                     f"unknown dataset config {token!r} (use d1, d2 or label:train_frac:val_frac)")
             configs.append((parts[0], float(parts[1]), float(parts[2])))
     models = [_make_kind(_parse_model(m), args) for m in args.models]
-    h = _hyper_from_args(args)
+    h = _from_args(Hyperparams, args)
     table = bench_mod.run_benchmark(t, configs, list(args.seeds), models, h,
                                     log=sys.stderr if args.progress else None)
     if args.out:
@@ -236,10 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--val-frac", type=float, default=0.45)
         p.add_argument("--model", default="m3",
                        help="m1/sgdm, m2/slf or m3/drslf (default m3)")
-        p.add_argument("--learning-rate", type=float, default=0.01)
-        p.add_argument("--momentum", type=float, default=0.9)
+        _add_field_flags(p, OptimizerKind, skip="name")
         p.add_argument("--seed", type=int, default=0)
-        _add_hyper_flags(p)
+        _add_field_flags(p, Hyperparams, skip="seed")
         p.add_argument("--out", help="write per-epoch CSV here" if name == "train"
                        else "write all grid points as CSV here")
         if name == "train":
@@ -250,16 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--progress", action="store_true",
                            help="log per-point progress to stderr")
-            p.add_argument("--lambda-r1-values", type=_float_list,
-                           default=bench_mod.GridSpec().lambda_r1_values)
-            p.add_argument("--lambda-r2-values", type=_float_list,
-                           default=bench_mod.GridSpec().lambda_r2_values)
-            p.add_argument("--gamma-values", type=_float_list,
-                           default=bench_mod.GridSpec().gamma_values)
-            p.add_argument("--learning-rate-values", type=_float_list,
-                           default=bench_mod.GridSpec().learning_rate_values)
-            p.add_argument("--momentum-values", type=_float_list,
-                           default=bench_mod.GridSpec().momentum_values)
+            _add_field_flags(p, bench_mod.GridSpec, skip="fixed")
             p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("bench", help="multi-seed benchmark over models and splits",
@@ -268,10 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--datasets", type=lambda s: s.split(","), default=["d1"],
                    help="comma list: d1, d2 or label:train_frac:val_frac")
     p.add_argument("--models", type=lambda s: s.split(","), default=["m1", "m2", "m3"])
-    p.add_argument("--seeds", type=_int_list, default=(0, 1, 2, 3, 4))
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    _add_hyper_flags(p)
+    p.add_argument("--seeds", type=_list_of(int), default=(0, 1, 2, 3, 4))
+    _add_field_flags(p, OptimizerKind, skip="name")
+    _add_field_flags(p, Hyperparams, skip="seed")
     p.add_argument("--out", help="write the summary CSV here")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import IndexedDataset
-from .model import FactorState, Hyperparams, pack_blocks, split_vector
+from .model import (FactorState, Hyperparams, jacobian_transpose_vector, pack_blocks,
+                    split_vector)
 from .sddmm import sampled_dots
 
 
@@ -79,10 +80,7 @@ class CurvatureContext:
 
     def gn_hvp(self, v: np.ndarray) -> np.ndarray:
         "Gauss-Newton product J^T J v for the data term."
-        jv = self.jacobian_vector(v)
-        wu = self.data.user_weighted_sums(jv, self.x.service_factors)
-        ws = self.data.service_weighted_sums(jv, self.x.user_factors)
-        return pack_blocks(wu, ws)
+        return jacobian_transpose_vector(self.x, self.data, self.jacobian_vector(v))
 
     def reg_l1_hvp(self, v: np.ndarray) -> np.ndarray:
         if self._l1_diag_u is None:

@@ -221,7 +221,6 @@ class SplitDataset:
     train: IndexedDataset
     validation: IndexedDataset
     test: IndexedDataset
-    seed: int
 
 
 def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedIndex:
@@ -466,8 +465,7 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     return SplitDataset(
         train=build_index(t.subset(perm[:n_train]), role="train"),
         validation=build_index(t.subset(perm[n_train:n_train + n_val]), role="validation"),
-        test=build_index(t.subset(perm[n_train + n_val:]), role="test"),
-        seed=seed)
+        test=build_index(t.subset(perm[n_train + n_val:]), role="test"))
 
 
 def synth_lowrank(num_users: int, num_services: int, rank: int, density: float,

@@ -197,19 +197,23 @@ def objective(x: FactorState, d: IndexedDataset, h: Hyperparams) -> float:
     return float(total)
 
 
-def data_gradient(x: FactorState, d: IndexedDataset) -> np.ndarray:
-    """Gradient of the half-SSE term: -(q - yhat) scattered through the factors.
+def jacobian_transpose_vector(x: FactorState, d: IndexedDataset,
+                              w: np.ndarray) -> np.ndarray:
+    """J^T w for w with one entry per observation in d's user-major order:
+    user u gets the sum over K_u of w * x_s, service s the sum over K_s
+    of w * x_u."""
+    wu = d.user_weighted_sums(w, x.service_factors)
+    ws = d.service_weighted_sums(w, x.user_factors)
+    return pack_blocks(wu, ws)
 
-    For user u: sum over its observations of -(q - yhat) * x_s, and
-    symmetrically for services. The residuals are computed in d's
-    user-major order, the order the weighted sums take.
-    """
+
+def data_gradient(x: FactorState, d: IndexedDataset) -> np.ndarray:
+    """Gradient of the half-SSE term: J^T (-(q - yhat)), with the
+    residuals computed in d's user-major order, the order J^T w takes."""
     um = d.user_major
     yhat = sampled_dots(um.users, um.services, ((x.user_factors, x.service_factors),))
     neg_r = -(d.base.values[d.by_user.order] - yhat)
-    gu = d.user_weighted_sums(neg_r, x.service_factors)
-    gs = d.service_weighted_sums(neg_r, x.user_factors)
-    return pack_blocks(gu, gs)
+    return jacobian_transpose_vector(x, d, neg_r)
 
 
 def l1_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray:

@@ -200,14 +200,6 @@ def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
         xs[s] = xs_rows + vs_rows
 
 
-class _SgdmState:
-    "Velocity buffers, created once and carried across epochs."
-
-    def __init__(self, x: FactorState):
-        self.vel_user = np.zeros_like(x.user_factors)
-        self.vel_service = np.zeros_like(x.service_factors)
-
-
 def _second_order_epoch(x: FactorState, split: SplitDataset, h: Hyperparams,
                         epoch: int) -> int:
     ctx = CurvatureContext(x, split.train, h)
@@ -220,13 +212,14 @@ def _second_order_epoch(x: FactorState, split: SplitDataset, h: Hyperparams,
     return result.iterations
 
 
-def _sgdm_epoch_run(x: FactorState, state: _SgdmState, split: SplitDataset,
-                    h: Hyperparams, kind: OptimizerKind, epoch: int) -> int:
+def _sgdm_epoch_run(x: FactorState, vel_user: np.ndarray, vel_service: np.ndarray,
+                    split: SplitDataset, h: Hyperparams, kind: OptimizerKind,
+                    epoch: int) -> int:
     t = split.train.base
     order = np.random.default_rng((h.seed, epoch)).permutation(len(t)).astype(np.int64)
     _sgdm_epoch(t.users, t.services, t.values, order,
                 x.user_factors, x.service_factors,
-                state.vel_user, state.vel_service,
+                vel_user, vel_service,
                 kind.learning_rate, kind.momentum, h.lambda_r2)
     return len(t)
 
@@ -250,13 +243,16 @@ def train(split: SplitDataset, h: Hyperparams,
     report = TrainReport()
     best = BestSnapshot()
     bad_streak = 0
-    sgdm_state = _SgdmState(x) if kind.name == "SGDM" else None
+    if kind.name == "SGDM":
+        # velocity buffers, carried across epochs
+        vel_user = np.zeros_like(x.user_factors)
+        vel_service = np.zeros_like(x.service_factors)
     stop_reason = "max_epochs"
 
     for epoch in range(1, h.max_epochs + 1):
         started = time.perf_counter()
         if kind.name == "SGDM":
-            inner = _sgdm_epoch_run(x, sgdm_state, split, h, kind, epoch)
+            inner = _sgdm_epoch_run(x, vel_user, vel_service, split, h, kind, epoch)
         else:
             inner = _second_order_epoch(x, split, h, epoch)
         wall_ms = (time.perf_counter() - started) * 1e3

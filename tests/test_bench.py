@@ -13,7 +13,7 @@ from sofactor.bench import (
     rmse,
     run_benchmark,
 )
-from sofactor.data import TripleSet, build_index, split, synth_lowrank, write_triples
+from sofactor.data import TripleSet, build_index, split, synth_lowrank
 from sofactor.model import FactorState, Hyperparams
 from sofactor.train import OptimizerKind
 
@@ -225,25 +225,3 @@ def test_bench_table_csv_layout():
     assert cells[0] == "tiny" and cells[1] == "SGDM" and cells[4] == "2"
     text = table.to_text()
     assert "per-seed rmse" in text and "tiny" in text
-
-
-def test_run_benchmark_accepts_dataset_path(tmp_path):
-    t, _ = tiny_problem()
-    path = tmp_path / "data.txt"
-    write_triples(path, t)
-    h = fast_h(max_epochs=1)
-    args = ([("tiny", 0.6, 0.2)], [0], [OptimizerKind.slf()], h)
-    from_str = run_benchmark(str(path), *args)
-    assert from_str == run_benchmark(t, *args)
-    assert run_benchmark(path, *args) == from_str
-    assert all(r.seeds == 1 for r in from_str.rows)
-
-
-def test_run_benchmark_missing_file_names_expected_format(tmp_path):
-    missing = tmp_path / "nope.txt"
-    with pytest.raises(FileNotFoundError) as exc_info:
-        run_benchmark(str(missing), [("a", 0.6, 0.2)], [0],
-                      [OptimizerKind.slf()], fast_h())
-    msg = str(exc_info.value)
-    assert "nope.txt" in msg
-    assert "dense matrix" in msg and "triples" in msg

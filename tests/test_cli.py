@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
-from sofactor.cli import _hyper_from_args, build_parser, main, resolve_data_path
+from sofactor.bench import GridSpec
+from sofactor.cli import _from_args, _make_kind, build_parser, main, resolve_data_path
 from sofactor.data import load_triples, sniff_format, synth_lowrank, write_triples
 from sofactor.model import Hyperparams, load_factors
+from sofactor.train import OptimizerKind
 
 from oracles import write_dense_matrix
 
@@ -249,8 +251,59 @@ def test_every_hyperparam_has_a_train_flag():
     argv = ["train", "--data", "d.txt"]
     for name, value in given.items():
         argv += ["--" + name.replace("_", "-"), str(value)]
-    h = _hyper_from_args(build_parser().parse_args(argv))
+    h = _from_args(Hyperparams, build_parser().parse_args(argv))
     assert h == Hyperparams(**given)
     for name, value in given.items():
         assert type(getattr(h, name)) is type(value)
         assert value != getattr(Hyperparams(), name)
+
+
+def field_names(cls, skip):
+    return {fd.name for fd in dataclasses.fields(cls)} - {skip}
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "bench"])
+def test_every_optimizer_knob_and_grid_axis_has_a_flag(command):
+    # each OptimizerKind knob (and on grid each GridSpec axis) is set
+    # through its own flag to a non-default value and reaches the object
+    # built from the arguments
+    knobs = dict(learning_rate=0.25, momentum=0.5)
+    axes = dict(lambda_r1_values=(0.5, 0.25), lambda_r2_values=(0.125,),
+                gamma_values=(3.0, 1.5), learning_rate_values=(0.75,),
+                momentum_values=(0.0, 0.25))
+    assert set(knobs) == field_names(OptimizerKind, "name")
+    assert set(axes) == field_names(GridSpec, "fixed")
+    given = knobs | axes if command == "grid" else knobs
+    argv = [command, "--data", "d.txt"]
+    for name, value in given.items():
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        argv += ["--" + name.replace("_", "-"), text]
+    args = build_parser().parse_args(argv)
+    kind = _make_kind("SGDM", args)
+    assert kind == OptimizerKind.sgdm(**knobs)
+    assert all(type(getattr(kind, n)) is float for n in knobs)
+    assert _make_kind("DRSLF", args) == OptimizerKind.drslf()  # knobs are SGDM's only
+    if command == "grid":
+        h = Hyperparams(f=3)
+        grid = _from_args(GridSpec, args, fixed=h)
+        assert grid == GridSpec(**axes, fixed=h)
+        assert all(type(v) is float for n in axes for v in getattr(grid, n))
+    for name, value in given.items():
+        assert value != getattr(GridSpec() if name in axes else OptimizerKind("SGDM"), name)
+
+
+@pytest.mark.parametrize("command", ["train", "grid", "bench"])
+def test_parsed_defaults_are_the_dataclass_defaults(command):
+    args = build_parser().parse_args([command, "--data", "d.txt"])
+    classes = [(OptimizerKind, "name"), (Hyperparams, "seed")]
+    if command == "grid":
+        classes.append((GridSpec, "fixed"))
+    for cls, skip in classes:
+        for fd in dataclasses.fields(cls):
+            if fd.name != skip:
+                assert getattr(args, fd.name) == fd.default
+                assert type(getattr(args, fd.name)) is type(fd.default)
+    assert _make_kind("SGDM", args) == OptimizerKind.sgdm()
+    assert _from_args(Hyperparams, args) == Hyperparams()
+    if command == "grid":
+        assert _from_args(GridSpec, args, fixed=Hyperparams()) == GridSpec()

@@ -174,6 +174,15 @@ def test_load_dense_matrix_missing_file():
         load_dense_matrix("/no/such/file.txt")
 
 
+def test_load_dataset_missing_file_names_expected_format(tmp_path):
+    missing = tmp_path / "nope.txt"
+    with pytest.raises(FileNotFoundError) as exc_info:
+        load_dataset(str(missing))
+    msg = str(exc_info.value)
+    assert "nope.txt" in msg
+    assert "dense matrix" in msg and "triples" in msg
+
+
 def test_dense_roundtrip(tmp_path):
     t = small_set()
     p = tmp_path / "m.txt"
