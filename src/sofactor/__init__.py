@@ -27,7 +27,7 @@ from .model import (
     rmse,
     save_factors,
 )
-from .train import BestSnapshot, EpochRecord, OptimizerKind, TrainReport, restore_best, train
+from .train import BestSnapshot, EpochRecord, OptimizerKind, TrainReport, train
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "sniff_format", "split", "synth_lowrank", "write_triples",
     "FactorState", "Hyperparams", "gradient", "init_factors", "load_factors",
     "objective", "rmse", "save_factors",
-    "BestSnapshot", "EpochRecord", "OptimizerKind", "TrainReport",
-    "restore_best", "train",
+    "BestSnapshot", "EpochRecord", "OptimizerKind", "TrainReport", "train",
     "__version__",
 ]

@@ -68,19 +68,18 @@ class GridPointResult:
                 f"{self.val_rmse!r},{self.best_epoch},{self.status}")
 
 
-def _grid_points(grid: GridSpec, kind: OptimizerKind,
-                 h: Hyperparams) -> Iterable[GridPoint]:
+def _grid_points(grid: GridSpec, kind: OptimizerKind) -> Iterable[GridPoint]:
     "Candidates in deterministic ascending lexicographic order."
     l2s = sorted(grid.lambda_r2_values)
     if kind.name == "SGDM":
         for lr, mom, l2 in product(sorted(grid.learning_rate_values),
                                    sorted(grid.momentum_values), l2s):
-            yield GridPoint(replace(h, lambda_r1=0.0, lambda_r2=l2),
+            yield GridPoint(replace(grid.fixed, lambda_r1=0.0, lambda_r2=l2),
                             OptimizerKind.sgdm(lr, mom))
         return
     l1s = (0.0,) if kind.name == "SLF" else tuple(sorted(grid.lambda_r1_values))
     for l1, l2, gamma in product(l1s, l2s, sorted(grid.gamma_values)):
-        yield GridPoint(replace(h, lambda_r1=l1, lambda_r2=l2, gamma=gamma), kind)
+        yield GridPoint(replace(grid.fixed, lambda_r1=l1, lambda_r2=l2, gamma=gamma), kind)
 
 
 def grid_search(split_data, grid: GridSpec, kind: Optional[OptimizerKind] = None,
@@ -99,7 +98,7 @@ def grid_search(split_data, grid: GridSpec, kind: Optional[OptimizerKind] = None
     results: list[GridPointResult] = []
     best: Optional[GridPoint] = None
     best_val = float("inf")
-    for point in _grid_points(grid, kind, grid.fixed):
+    for point in _grid_points(grid, kind):
         ph, pk = point.hyperparams, point.kind
         try:
             state, _report = train(split_data, ph, pk)
@@ -196,6 +195,12 @@ def run_benchmark(data: TripleSet,
         raise ValueError("duplicate model in request")
     if len(set(label for label, _, _ in configs)) != len(configs):
         raise ValueError("duplicate dataset label in request")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("duplicate seed in request")
+    if not isinstance(h, Hyperparams):
+        for name in names:
+            if name not in h:
+                raise ValueError(f"no hyperparameters given for model {name}")
 
     def h_for(name: str) -> Hyperparams:
         if isinstance(h, Hyperparams):

@@ -75,16 +75,16 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("auto", "dense", "triples"), default="auto")
 
 
-def _add_field_flags(p: argparse.ArgumentParser, cls, skip: str) -> None:
-    """One flag per field of the dataclass cls but skip: --name with '_'
-    as '-', with the field's default and that default's type. A tuple
-    default takes a comma list of its first element's type.
+def _add_field_flags(p: argparse.ArgumentParser, cls, skip: set) -> None:
+    """One flag per field of the dataclass cls not named in skip: --name
+    with '_' as '-', with the field's default and that default's type. A
+    tuple default takes a comma list of its first element's type.
 
-    For Hyperparams, skip is the seed: train and grid take it from the
+    For Hyperparams, skip holds the seed: train and grid take it from the
     split's --seed, and bench sets it per run from --seeds.
     """
     for fd in dataclasses.fields(cls):
-        if fd.name != skip:
+        if fd.name not in skip:
             convert = type(fd.default)
             if convert is tuple:
                 convert = _list_of(type(fd.default[0]))
@@ -145,9 +145,8 @@ def cmd_train(args) -> int:
 def cmd_grid(args) -> int:
     t = load_dataset(args.data, args.format)
     sp = data_mod.split(t, args.train_frac, args.val_frac, args.seed)
-    h = _from_args(Hyperparams, args)
-    kind = _make_kind(_parse_model(args.model), args)
-    grid = _from_args(bench_mod.GridSpec, args, fixed=h)
+    kind = OptimizerKind(name=_parse_model(args.model))
+    grid = _from_args(bench_mod.GridSpec, args, fixed=_from_args(Hyperparams, args))
     progress = None
     if args.progress:
         def progress(r):
@@ -226,16 +225,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_split)
 
+    # grid sweeps the setting of each GridSpec axis <field>_values and
+    # takes no single-value flag for it
+    swept = {fd.name.removesuffix("_values")
+             for fd in dataclasses.fields(bench_mod.GridSpec) if fd.name != "fixed"}
+    train_frac, val_frac = KNOWN_CONFIGS["d1"]
     for name in ("train", "grid"):
+        skip = swept if name == "grid" else set()
         p = sub.add_parser(name, help=f"{name} a model on one split", allow_abbrev=False)
         _add_data_flags(p)
-        p.add_argument("--train-frac", type=float, default=0.10)
-        p.add_argument("--val-frac", type=float, default=0.45)
+        p.add_argument("--train-frac", type=float, default=train_frac)
+        p.add_argument("--val-frac", type=float, default=val_frac)
         p.add_argument("--model", default="m3",
                        help="m1/sgdm, m2/slf or m3/drslf (default m3)")
-        _add_field_flags(p, OptimizerKind, skip="name")
+        _add_field_flags(p, OptimizerKind, skip={"name"} | skip)
         p.add_argument("--seed", type=int, default=0)
-        _add_field_flags(p, Hyperparams, skip="seed")
+        _add_field_flags(p, Hyperparams, skip={"seed"} | skip)
         p.add_argument("--out", help="write per-epoch CSV here" if name == "train"
                        else "write all grid points as CSV here")
         if name == "train":
@@ -246,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--progress", action="store_true",
                            help="log per-point progress to stderr")
-            _add_field_flags(p, bench_mod.GridSpec, skip="fixed")
+            _add_field_flags(p, bench_mod.GridSpec, skip={"fixed"})
             p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("bench", help="multi-seed benchmark over models and splits",
@@ -256,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list: d1, d2 or label:train_frac:val_frac")
     p.add_argument("--models", type=lambda s: s.split(","), default=["m1", "m2", "m3"])
     p.add_argument("--seeds", type=_list_of(int), default=(0, 1, 2, 3, 4))
-    _add_field_flags(p, OptimizerKind, skip="name")
-    _add_field_flags(p, Hyperparams, skip="seed")
+    _add_field_flags(p, OptimizerKind, skip={"name"})
+    _add_field_flags(p, Hyperparams, skip={"seed"})
     p.add_argument("--out", help="write the summary CSV here")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=cmd_bench)

@@ -49,8 +49,8 @@ class CurvatureContext:
         self.h = h
         self.dim = x.dim
         self._jv = np.empty(len(data))  # scratch reused across products
-        cu = data.user_counts[:, None].astype(np.float64)
-        cs = data.service_counts[:, None].astype(np.float64)
+        cu = data.by_user.counts[:, None].astype(np.float64)
+        cs = data.by_service.counts[:, None].astype(np.float64)
         self._l1_diag_u = self._l1_diag_s = None
         if h.lambda_r1 > 0:
             # diagonal Hessian of the smooth L1 term:

@@ -179,14 +179,6 @@ class IndexedDataset:
     def __len__(self) -> int:
         return len(self.base)
 
-    @property
-    def user_counts(self) -> np.ndarray:
-        return self.by_user.counts
-
-    @property
-    def service_counts(self) -> np.ndarray:
-        return self.by_service.counts
-
     @cached_property
     def user_major(self) -> UserMajorOrder:
         "The user-major work order, built on first use and then cached."

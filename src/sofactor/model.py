@@ -184,8 +184,8 @@ def _smooth_abs(block: np.ndarray, epsilon: float) -> np.ndarray:
 def objective(x: FactorState, d: IndexedDataset, h: Hyperparams) -> float:
     """Full training objective at x over the observations of d."""
     total = loss_data(x, d)
-    cu = d.user_counts.astype(np.float64)
-    cs = d.service_counts.astype(np.float64)
+    cu = d.by_user.counts.astype(np.float64)
+    cs = d.by_service.counts.astype(np.float64)
     if h.lambda_r1 > 0:
         total += h.lambda_r1 * (
             cu @ _smooth_abs(x.user_factors, h.epsilon).sum(axis=1)
@@ -220,8 +220,8 @@ def l1_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray
     """Gradient of the smooth L1 term: lambda_r1 * |K_e| * x / sqrt(x^2 + eps)."""
     if h.lambda_r1 == 0:
         return np.zeros(x.dim)
-    cu = d.user_counts[:, None]
-    cs = d.service_counts[:, None]
+    cu = d.by_user.counts[:, None]
+    cs = d.by_service.counts[:, None]
     gu = h.lambda_r1 * cu * x.user_factors / _smooth_abs(x.user_factors, h.epsilon)
     gs = h.lambda_r1 * cs * x.service_factors / _smooth_abs(x.service_factors, h.epsilon)
     return pack_blocks(gu, gs)
@@ -231,8 +231,8 @@ def l2_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray
     "Gradient of the quadratic term: lambda_r2 * |K_e| * x."
     if h.lambda_r2 == 0:
         return np.zeros(x.dim)
-    gu = h.lambda_r2 * d.user_counts[:, None] * x.user_factors
-    gs = h.lambda_r2 * d.service_counts[:, None] * x.service_factors
+    gu = h.lambda_r2 * d.by_user.counts[:, None] * x.user_factors
+    gs = h.lambda_r2 * d.by_service.counts[:, None] * x.service_factors
     return pack_blocks(gu, gs)
 
 

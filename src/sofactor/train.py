@@ -62,8 +62,9 @@ class OptimizerKind:
         return cls(name="SLF")
 
     @classmethod
-    def sgdm(cls, learning_rate: float = 0.01, momentum: float = 0.9) -> "OptimizerKind":
-        return cls(name="SGDM", learning_rate=learning_rate, momentum=momentum)
+    def sgdm(cls, *args, **kwargs) -> "OptimizerKind":
+        "SGDM with the knobs given, positional or by name, else the field defaults."
+        return cls("SGDM", *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,6 @@ class BestSnapshot:
             self.state = state.copy()
             return True
         return False
-
-
-def restore_best(report: TrainReport, snapshot: BestSnapshot) -> FactorState:
-    """Parameters from the report's best epoch, out of the rolling snapshot."""
-    if not report.epochs:
-        raise ValueError("empty report: no epochs recorded")
-    if snapshot.state is None or snapshot.epoch != report.best_epoch:
-        raise ValueError(
-            f"snapshot holds epoch {snapshot.epoch}, report says best is {report.best_epoch}")
-    return snapshot.state
 
 
 def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
@@ -278,6 +269,6 @@ def train(split: SplitDataset, h: Hyperparams,
 
     report.best_epoch = best.epoch
     report.stop_reason = stop_reason
-    best_state = restore_best(report, best) if report.epochs else x
+    best_state = best.state if report.epochs else x
     report.final_test_rmse = rmse(best_state, split.test)
     return best_state, report

@@ -77,8 +77,8 @@ def stored_order_damped_hvp(x: FactorState, data: IndexedDataset, h: Hyperparams
                       ((vu, x.service_factors), (x.user_factors, vs)))
     out = np.concatenate([_stored_order_sums(data.by_user, jv, x.service_factors).ravel(),
                           _stored_order_sums(data.by_service, jv, x.user_factors).ravel()])
-    cu = data.user_counts[:, None].astype(np.float64)
-    cs = data.service_counts[:, None].astype(np.float64)
+    cu = data.by_user.counts[:, None].astype(np.float64)
+    cs = data.by_service.counts[:, None].astype(np.float64)
     e = h.epsilon
     l1u = h.lambda_r1 * cu * e / np.power(x.user_factors ** 2 + e, 1.5)
     l1s = h.lambda_r1 * cs * e / np.power(x.service_factors ** 2 + e, 1.5)

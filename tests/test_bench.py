@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sofactor import bench as bench_mod
 from sofactor.bench import (
     BenchTable,
     GridSpec,
@@ -199,7 +200,11 @@ def test_run_benchmark_accepts_per_model_hyperparams():
     assert {r.model for r in table.rows} == {"SLF", "DRSLF"}
 
 
-def test_run_benchmark_validates_request():
+def test_run_benchmark_validates_request(monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the request was checked")
+
+    monkeypatch.setattr(bench_mod, "train", no_training)
     t, _ = tiny_problem()
     with pytest.raises(ValueError, match="no models"):
         run_benchmark(t, [("a", 0.6, 0.2)], [0], [], fast_h())
@@ -213,6 +218,12 @@ def test_run_benchmark_validates_request():
     with pytest.raises(ValueError, match="duplicate dataset"):
         run_benchmark(t, [("a", 0.6, 0.2), ("a", 0.5, 0.2)], [0],
                       [OptimizerKind.slf()], fast_h())
+    with pytest.raises(ValueError, match="duplicate seed"):
+        run_benchmark(t, [("a", 0.6, 0.2)], [0, 1, 0], [OptimizerKind.slf()], fast_h())
+    # the mapping lacks DRSLF, which runs after SGDM in presentation order
+    with pytest.raises(ValueError, match="no hyperparameters given for model DRSLF"):
+        run_benchmark(t, [("a", 0.6, 0.2)], [0, 1],
+                      [OptimizerKind.drslf(), OptimizerKind.sgdm()], {"SGDM": fast_h()})
 
 
 def test_bench_table_csv_layout():

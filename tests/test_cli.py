@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from sofactor.bench import GridSpec
+from sofactor.bench import GridSpec, run_benchmark
 from sofactor.cli import _from_args, _make_kind, build_parser, main, resolve_data_path
 from sofactor.data import load_triples, sniff_format, synth_lowrank, write_triples
 from sofactor.model import Hyperparams, load_factors
@@ -19,6 +19,9 @@ def write_synth_file(path, seed=0):
     write_triples(path, t)
     return t
 
+
+# the settings that grid sweeps, each from its GridSpec axis <name>_values
+SWEPT = ("lambda_r1", "lambda_r2", "gamma", "learning_rate", "momentum")
 
 FAST = ["--f", "2", "--tau", "1e-6", "--cg-max-iters", "10",
         "--max-epochs", "4", "--patience", "4",
@@ -138,11 +141,19 @@ def test_grid_command(tmp_path, capsys):
                "--lambda-r1-values", "0.0,0.05",
                "--lambda-r2-values", "1e-5",
                "--gamma-values", "0.5,2.0",
-               "--out", str(out)])
+               "--out", str(out), "--progress"])
     assert rc == 0
-    assert capsys.readouterr().out.startswith("best: lambda_r1=")
+    captured = capsys.readouterr()
+    assert captured.out.startswith("best: lambda_r1=")
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 1 + 4
+    # --progress logs each point as it finishes, in the CSV's order
+    logged = captured.err.splitlines()
+    assert len(logged) == 4
+    for line, row in zip(logged, lines[1:]):
+        l1, l2, gamma, lr, mom, val = row.split(",")[:6]
+        assert line == (f"l1={l1} l2={l2} gamma={gamma} lr={lr} m={mom} "
+                        f"val_rmse={val} [ok]")
 
 
 def test_bench_command(tmp_path, capsys):
@@ -165,7 +176,34 @@ def test_bench_command(tmp_path, capsys):
     assert lines[2].split(",")[1] == "DRSLF"
 
 
+def test_bench_named_dataset_configs(tmp_path, capsys):
+    # d1 and d2 (any case) are the KNOWN_CONFIGS splitting recipes
+    data = tmp_path / "d.txt"
+    t = write_synth_file(data)
+    rc = main(["bench", "--data", str(data), "--datasets", "d1,D2", "--models", "m2",
+               "--seeds", "0", "--f", "2", "--tau", "1e-6", "--max-epochs", "2",
+               "--init-lo", "0.2", "--init-hi", "1.0", "--progress"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    h = Hyperparams(f=2, tau=1e-6, max_epochs=2, init_lo=0.2, init_hi=1.0)
+    table = run_benchmark(t, [("d1", 0.10, 0.45), ("d2", 0.20, 0.40)], [0],
+                          [OptimizerKind.slf()], h)
+    assert captured.out == table.to_text()
+    # --progress logs one line per run
+    assert [line.split()[:3] for line in captured.err.splitlines()] == [
+        ["d1", "SLF", "seed=0"], ["d2", "SLF", "seed=0"]]
+
+
 # -------------------------------------------------------------------- errors
+
+def test_bench_malformed_dataset_config_errors_cleanly(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    write_synth_file(data)
+    rc = main(["bench", "--data", str(data), "--datasets", "d1,tiny:0.6"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: unknown dataset config 'tiny:0.6' (use d1, d2 or label:train_frac:val_frac)\n")
+
 
 def test_missing_file_errors_cleanly(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.txt"), *FAST])
@@ -209,6 +247,8 @@ def test_usage_error_exits_2():
     ["ingest", "--input", "m.txt", "--out", "t.txt", "--seed", "0"],
     ["bench", "--data", "d.txt", "--seed", "0"],
     ["train", "--data", "d.txt", "--progress"],
+    # grid sweeps these settings from their GridSpec axes only
+    *(["grid", "--data", "d.txt", "--" + name.replace("_", "-"), "0.5"] for name in SWEPT),
 ])
 def test_removed_flags_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
@@ -262,32 +302,43 @@ def field_names(cls, skip):
     return {fd.name for fd in dataclasses.fields(cls)} - {skip}
 
 
+def test_every_grid_axis_names_a_setting():
+    # each GridSpec axis <field>_values sweeps one Hyperparams or
+    # OptimizerKind field, and those are the settings grid has no flag for
+    axes = field_names(GridSpec, "fixed")
+    assert all(axis.endswith("_values") for axis in axes)
+    swept = {axis.removesuffix("_values") for axis in axes}
+    assert swept == set(SWEPT)
+    assert swept <= field_names(Hyperparams, "seed") | field_names(OptimizerKind, "name")
+
+
 @pytest.mark.parametrize("command", ["train", "grid", "bench"])
 def test_every_optimizer_knob_and_grid_axis_has_a_flag(command):
-    # each OptimizerKind knob (and on grid each GridSpec axis) is set
-    # through its own flag to a non-default value and reaches the object
-    # built from the arguments
+    # each OptimizerKind knob (on train and bench) or each GridSpec axis
+    # (on grid) is set through its own flag to a non-default value and
+    # reaches the object built from the arguments
     knobs = dict(learning_rate=0.25, momentum=0.5)
     axes = dict(lambda_r1_values=(0.5, 0.25), lambda_r2_values=(0.125,),
                 gamma_values=(3.0, 1.5), learning_rate_values=(0.75,),
                 momentum_values=(0.0, 0.25))
     assert set(knobs) == field_names(OptimizerKind, "name")
     assert set(axes) == field_names(GridSpec, "fixed")
-    given = knobs | axes if command == "grid" else knobs
+    given = axes if command == "grid" else knobs
     argv = [command, "--data", "d.txt"]
     for name, value in given.items():
         text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
         argv += ["--" + name.replace("_", "-"), text]
     args = build_parser().parse_args(argv)
-    kind = _make_kind("SGDM", args)
-    assert kind == OptimizerKind.sgdm(**knobs)
-    assert all(type(getattr(kind, n)) is float for n in knobs)
-    assert _make_kind("DRSLF", args) == OptimizerKind.drslf()  # knobs are SGDM's only
     if command == "grid":
         h = Hyperparams(f=3)
         grid = _from_args(GridSpec, args, fixed=h)
         assert grid == GridSpec(**axes, fixed=h)
         assert all(type(v) is float for n in axes for v in getattr(grid, n))
+    else:
+        kind = _make_kind("SGDM", args)
+        assert kind == OptimizerKind.sgdm(**knobs)
+        assert all(type(getattr(kind, n)) is float for n in knobs)
+        assert _make_kind("DRSLF", args) == OptimizerKind.drslf()  # knobs are SGDM's only
     for name, value in given.items():
         assert value != getattr(GridSpec() if name in axes else OptimizerKind("SGDM"), name)
 
@@ -298,12 +349,15 @@ def test_parsed_defaults_are_the_dataclass_defaults(command):
     classes = [(OptimizerKind, "name"), (Hyperparams, "seed")]
     if command == "grid":
         classes.append((GridSpec, "fixed"))
+    swept = set(SWEPT) if command == "grid" else set()
     for cls, skip in classes:
         for fd in dataclasses.fields(cls):
-            if fd.name != skip:
+            if fd.name != skip and fd.name not in swept:
                 assert getattr(args, fd.name) == fd.default
                 assert type(getattr(args, fd.name)) is type(fd.default)
-    assert _make_kind("SGDM", args) == OptimizerKind.sgdm()
+    assert not swept & set(vars(args))  # grid parses no swept setting
     assert _from_args(Hyperparams, args) == Hyperparams()
     if command == "grid":
         assert _from_args(GridSpec, args, fixed=Hyperparams()) == GridSpec()
+    else:
+        assert _make_kind("SGDM", args) == OptimizerKind.sgdm()

@@ -183,6 +183,27 @@ def test_load_dataset_missing_file_names_expected_format(tmp_path):
     assert "dense matrix" in msg and "triples" in msg
 
 
+def test_load_dataset_reads_dense_sniffed_or_stated(tmp_path):
+    p = tmp_path / "m.txt"
+    write_dense_matrix(p, small_set())
+    want = load_dense_matrix(p)
+    for fmt in ("auto", "dense"):
+        got = load_dataset(p, fmt)
+        assert (got.num_users, got.num_services) == (4, 3)
+        for name in ("users", "services", "values"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    with pytest.raises(ValueError, match="unknown dataset format 'csv'"):
+        load_dataset(p, "csv")
+
+
+def test_load_dataset_sniffs_a_file_without_data_lines_as_triples(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("# nothing here\n\n")
+    assert sniff_format(p) == "triples"
+    with pytest.raises(ValueError, match="no observations"):  # the triples loader's error
+        load_dataset(p)
+
+
 def test_dense_roundtrip(tmp_path):
     t = small_set()
     p = tmp_path / "m.txt"
@@ -417,8 +438,8 @@ def test_build_index_matches_bruteforce():
             assert list(group(d.by_user, u)) == by_u.get(u, [])
         for s in range(ns):
             assert list(group(d.by_service, s)) == by_s.get(s, [])
-        assert np.array_equal(d.user_counts, [len(by_u.get(u, [])) for u in range(nu)])
-        assert np.array_equal(d.service_counts, [len(by_s.get(s, [])) for s in range(ns)])
+        assert np.array_equal(d.by_user.counts, [len(by_u.get(u, [])) for u in range(nu)])
+        assert np.array_equal(d.by_service.counts, [len(by_s.get(s, [])) for s in range(ns)])
 
 
 @pytest.mark.parametrize("n,num_ids", [

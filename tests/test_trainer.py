@@ -234,36 +234,16 @@ def test_best_snapshot_keeps_strict_improvements_only():
 
 
 def test_restore_best_tracks_hand_fed_sequences():
+    # hand-fed validation sequences: the snapshot holds the minimum's epoch
     states = {e: init_factors(4, 5, so_params(seed=e)) for e in (1, 2, 3)}
-
-    def run(vals):
+    for vals, best in (([0.9], 1),  # single epoch: the best by definition
+                       ([0.9, 0.5, 0.3], 3),  # strictly improving: the last wins
+                       ([0.9, 0.5, 0.8], 2)):  # degrades: pinned at the minimum
         snap = train_mod.BestSnapshot()
-        report = TrainReport()
         for epoch, val in enumerate(vals, 1):
-            report.epochs.append(EpochRecord(epoch, val, val, 1, 0.0))
             snap.consider(epoch, val, states[epoch])
-        report.best_epoch = snap.epoch
-        return train_mod.restore_best(report, snap)
-
-    # single epoch: that epoch is the best by definition
-    out = run([0.9])
-    np.testing.assert_array_equal(out.user_factors, states[1].user_factors)
-    # strictly improving validation: the last epoch wins
-    out = run([0.9, 0.5, 0.3])
-    np.testing.assert_array_equal(out.user_factors, states[3].user_factors)
-    # degrades after epoch 2: stays pinned at the minimum
-    out = run([0.9, 0.5, 0.8])
-    np.testing.assert_array_equal(out.user_factors, states[2].user_factors)
-
-
-def test_restore_best_validates_inputs():
-    with pytest.raises(ValueError, match="no epochs"):
-        train_mod.restore_best(TrainReport(), train_mod.BestSnapshot())
-    report = TrainReport(epochs=[EpochRecord(1, 1.0, 0.5, 1, 0.0)], best_epoch=2)
-    snap = train_mod.BestSnapshot()
-    snap.consider(1, 0.5, init_factors(3, 3, so_params()))
-    with pytest.raises(ValueError, match="snapshot holds epoch 1"):
-        train_mod.restore_best(report, snap)
+        assert snap.epoch == best
+        np.testing.assert_array_equal(snap.state.user_factors, states[best].user_factors)
 
 
 def test_restored_state_revalidates_to_reported_minimum():
