@@ -40,6 +40,11 @@ class GridSpec:
                 raise ValueError(f"{fd.name} must not be empty")
 
 
+# the setting each GridSpec axis <setting>_values sweeps, in grid CSV column order
+SWEPT_SETTINGS = tuple(fd.name.removesuffix("_values")
+                       for fd in fields(GridSpec) if fd.name != "fixed")
+
+
 @dataclass(frozen=True)
 class GridPoint:
     "One fully specified candidate: hyperparameters plus optimizer knobs."
@@ -47,25 +52,29 @@ class GridPoint:
     hyperparams: Hyperparams
     kind: OptimizerKind
 
+    def settings(self) -> dict:
+        "The swept settings this point's model reads, by name in grid CSV column order."
+        h, k = self.hyperparams, self.kind
+        both = {"lambda_r1": h.lambda_r1, "lambda_r2": h.lambda_r2}
+        if k.name == "SGDM":  # reads no gamma
+            return both | {"learning_rate": k.learning_rate, "momentum": k.momentum}
+        return both | {"gamma": h.gamma}  # DRSLF and SLF read no optimizer knob
+
 
 @dataclass(frozen=True)
 class GridPointResult:
-    lambda_r1: float
-    lambda_r2: float
-    gamma: float
-    learning_rate: float
-    momentum: float
+    point: GridPoint
     val_rmse: float
     best_epoch: int
     status: str  # "ok" or the failure message
 
-    CSV_HEADER = ("lambda_r1,lambda_r2,gamma,learning_rate,momentum,"
-                  "val_rmse,best_epoch,status")
+    CSV_HEADER = ",".join(SWEPT_SETTINGS) + ",val_rmse,best_epoch,status"
 
     def csv_row(self) -> str:
-        return (f"{self.lambda_r1!r},{self.lambda_r2!r},{self.gamma!r},"
-                f"{self.learning_rate!r},{self.momentum!r},"
-                f"{self.val_rmse!r},{self.best_epoch},{self.status}")
+        "One CSV line; a setting the point's model does not read is an empty field."
+        s = self.point.settings()
+        cells = (repr(s[name]) if name in s else "" for name in SWEPT_SETTINGS)
+        return f"{','.join(cells)},{self.val_rmse!r},{self.best_epoch},{self.status}"
 
 
 def _grid_points(grid: GridSpec, kind: OptimizerKind) -> Iterable[GridPoint]:
@@ -99,9 +108,8 @@ def grid_search(split_data, grid: GridSpec, kind: Optional[OptimizerKind] = None
     best: Optional[GridPoint] = None
     best_val = float("inf")
     for point in _grid_points(grid, kind):
-        ph, pk = point.hyperparams, point.kind
         try:
-            state, _report = train(split_data, ph, pk)
+            state, _report = train(split_data, point.hyperparams, point.kind)
             val = rmse(state, split_data.validation)
             best_epoch = _report.best_epoch
             status = "ok"
@@ -109,10 +117,7 @@ def grid_search(split_data, grid: GridSpec, kind: Optional[OptimizerKind] = None
             val = float("nan")
             best_epoch = 0
             status = str(exc)
-        results.append(GridPointResult(
-            lambda_r1=ph.lambda_r1, lambda_r2=ph.lambda_r2, gamma=ph.gamma,
-            learning_rate=pk.learning_rate, momentum=pk.momentum,
-            val_rmse=val, best_epoch=best_epoch, status=status))
+        results.append(GridPointResult(point, val, best_epoch, status))
         if status == "ok" and val < best_val:
             best_val = val
             best = point

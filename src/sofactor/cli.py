@@ -142,6 +142,11 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _settings_text(point: bench_mod.GridPoint) -> str:
+    "name=value for each setting the grid point's model reads."
+    return " ".join(f"{name}={value!r}" for name, value in point.settings().items())
+
+
 def cmd_grid(args) -> int:
     t = load_dataset(args.data, args.format)
     sp = data_mod.split(t, args.train_frac, args.val_frac, args.seed)
@@ -150,17 +155,12 @@ def cmd_grid(args) -> int:
     progress = None
     if args.progress:
         def progress(r):
-            print(f"l1={r.lambda_r1} l2={r.lambda_r2} gamma={r.gamma} "
-                  f"lr={r.learning_rate} m={r.momentum} "
-                  f"val_rmse={r.val_rmse} [{r.status}]", file=sys.stderr)
+            print(f"{_settings_text(r.point)} val_rmse={r.val_rmse} [{r.status}]", file=sys.stderr)
     best, results = bench_mod.grid_search(sp, grid, kind, progress=progress)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(bench_mod.grid_results_csv(results))
-    bh = best.hyperparams
-    print(f"best: lambda_r1={bh.lambda_r1!r} lambda_r2={bh.lambda_r2!r} "
-          f"gamma={bh.gamma!r} learning_rate={best.kind.learning_rate!r} "
-          f"momentum={best.kind.momentum!r}")
+    print(f"best: {_settings_text(best)}")
     return 0
 
 
@@ -225,10 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output path prefix")
     p.set_defaults(func=cmd_split)
 
-    # grid sweeps the setting of each GridSpec axis <field>_values and
-    # takes no single-value flag for it
-    swept = {fd.name.removesuffix("_values")
-             for fd in dataclasses.fields(bench_mod.GridSpec) if fd.name != "fixed"}
+    # grid takes no single-value flag for a setting that a GridSpec axis sweeps
+    swept = set(bench_mod.SWEPT_SETTINGS)
     train_frac, val_frac = KNOWN_CONFIGS["d1"]
     for name in ("train", "grid"):
         skip = swept if name == "grid" else set()

@@ -104,14 +104,9 @@ class CurvatureContext:
         """
         v = np.asarray(v, dtype=np.float64)
         out = self.gn_hvp(v)
-        # every part is added into out block by block, in the same order
-        # per entry as adding full-length parts, so no bit changes
-        blocks = zip(self._views(out), self._views(v),
-                     (self._l1_diag_u, self._l1_diag_s), (self._l2_diag_u, self._l2_diag_s))
-        for out_b, v_b, l1_diag, l2_diag in blocks:
-            if l1_diag is not None:
-                out_b += l1_diag * v_b
-            out_b += l2_diag * v_b
-            if self.h.gamma != 0:
-                out_b += self.h.gamma * v_b
+        if self._l1_diag_u is not None:
+            out += self.reg_l1_hvp(v)
+        out += self.reg_l2_hvp(v)
+        if self.h.gamma != 0:
+            out += self.h.gamma * v
         return out

@@ -242,9 +242,10 @@ def gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray:
 
 
 def save_factors(path, x: FactorState) -> None:
-    "Lossless binary dump of a FactorState (npz, versioned)."
-    np.savez(path, version=np.int64(FORMAT_VERSION), f=np.int64(x.f),
-             user_factors=x.user_factors, service_factors=x.service_factors)
+    "Lossless binary dump of a FactorState (npz, versioned) to exactly path."
+    with open(path, "wb") as fh:  # np.savez adds .npz to a path, not to a file
+        np.savez(fh, version=np.int64(FORMAT_VERSION), f=np.int64(x.f),
+                 user_factors=x.user_factors, service_factors=x.service_factors)
 
 
 def load_factors(path) -> FactorState:

@@ -89,7 +89,7 @@ def test_grid_search_two_point_grid_picks_lower_validation():
     assert len(results) == 2
     assert results[0].val_rmse != results[1].val_rmse  # strictly ordered pair
     lower = min(results, key=lambda r: r.val_rmse)
-    assert best.hyperparams.lambda_r1 == lower.lambda_r1
+    assert best == lower.point
 
 
 def test_grid_search_best_is_minimum_and_deterministic():
@@ -102,8 +102,7 @@ def test_grid_search_best_is_minimum_and_deterministic():
     ok = [r.val_rmse for r in res1 if r.status == "ok"]
     chosen = min(ok)
     match = [r for r in res1 if r.val_rmse == chosen][0]
-    assert (best1.hyperparams.lambda_r1, best1.hyperparams.lambda_r2,
-            best1.hyperparams.gamma) == (match.lambda_r1, match.lambda_r2, match.gamma)
+    assert best1 == match.point
 
 
 def test_grid_search_tie_breaks_lexicographically():
@@ -125,11 +124,11 @@ def test_grid_search_axes_per_optimizer():
     grid = small_grid(fixed=fast_h(max_epochs=1))
     _, slf = grid_search(sp, grid, OptimizerKind.slf())
     assert len(slf) == 1 * 2  # lambda_r2 x gamma only
-    assert all(r.lambda_r1 == 0.0 for r in slf)
+    assert all(r.point.hyperparams.lambda_r1 == 0.0 for r in slf)
     _, sgdm = grid_search(sp, grid, OptimizerKind.sgdm())
     assert len(sgdm) == 2 * 2 * 1  # lr x momentum x lambda_r2
-    assert all(r.lambda_r1 == 0.0 for r in sgdm)
-    assert {(r.learning_rate, r.momentum) for r in sgdm} == \
+    assert all(r.point.hyperparams.lambda_r1 == 0.0 for r in sgdm)
+    assert {(r.point.kind.learning_rate, r.point.kind.momentum) for r in sgdm} == \
         {(0.02, 0.0), (0.02, 0.5), (0.05, 0.0), (0.05, 0.5)}
 
 
@@ -139,7 +138,7 @@ def test_grid_search_records_failures_and_skips_them():
     best, results = grid_search(sp, grid, OptimizerKind.sgdm())
     blown = [r for r in results if r.status != "ok"]
     assert blown and all(np.isnan(r.val_rmse) for r in blown)
-    assert all(r.learning_rate == 1e9 for r in blown)
+    assert all(r.point.kind.learning_rate == 1e9 for r in blown)
     assert best.kind.learning_rate == 0.02
 
 

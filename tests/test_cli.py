@@ -152,8 +152,38 @@ def test_grid_command(tmp_path, capsys):
     assert len(logged) == 4
     for line, row in zip(logged, lines[1:]):
         l1, l2, gamma, lr, mom, val = row.split(",")[:6]
-        assert line == (f"l1={l1} l2={l2} gamma={gamma} lr={lr} m={mom} "
-                        f"val_rmse={val} [ok]")
+        assert lr == mom == ""  # DRSLF reads neither
+        assert line == f"lambda_r1={l1} lambda_r2={l2} gamma={gamma} val_rmse={val} [ok]"
+
+
+@pytest.mark.parametrize("model,axes,want", [
+    ("m1", ["--learning-rate-values", "0.05", "--momentum-values", "0.5,0.0"],
+     [("0.0", "1e-05", "", "0.05", "0.0"), ("0.0", "1e-05", "", "0.05", "0.5")]),
+    ("m2", ["--gamma-values", "2.0,0.5"],
+     [("0.0", "1e-05", "0.5", "", ""), ("0.0", "1e-05", "2.0", "", "")]),
+    ("m3", ["--lambda-r1-values", "0.05,0.0", "--gamma-values", "0.5"],
+     [("0.0", "1e-05", "0.5", "", ""), ("0.05", "1e-05", "0.5", "", "")]),
+])
+def test_grid_rows_name_only_settings_the_model_reads(tmp_path, capsys, model, axes, want):
+    # SGDM reads no gamma; DRSLF and SLF read no learning_rate or momentum
+    data = tmp_path / "d.txt"
+    write_synth_file(data)
+    out = tmp_path / "grid.csv"
+    rc = main(["grid", "--data", str(data), *FAST, "--model", model,
+               "--max-epochs", "2", "--seed", "1", "--lambda-r2-values", "1e-5",
+               *axes, "--out", str(out), "--progress"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    header, *rows = out.read_text().splitlines()
+    assert header == ",".join(SWEPT) + ",val_rmse,best_epoch,status"
+    cells = [row.split(",") for row in rows]
+    assert [tuple(c[:5]) for c in cells] == want
+    # the progress and best: lines name each setting the row fills, and no other
+    named = [" ".join(f"{n}={v}" for n, v in zip(SWEPT, c) if v) for c in cells]
+    assert captured.err.splitlines() == [f"{text} val_rmse={c[5]} [ok]"
+                                         for text, c in zip(named, cells)]
+    best = min(range(len(rows)), key=lambda i: float(cells[i][5]))
+    assert captured.out == f"best: {named[best]}\n"
 
 
 def test_bench_command(tmp_path, capsys):

@@ -300,6 +300,17 @@ def test_save_load_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(y.service_factors, x.service_factors)
 
 
+def test_save_factors_writes_exactly_the_given_path(tmp_path):
+    x = FactorState(f=1, user_factors=np.array([[0.5], [-2.0]]),
+                    service_factors=np.array([[3.0]]))
+    p = tmp_path / "model.bin"
+    save_factors(p, x)
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["model.bin"]  # no model.bin.npz
+    y = load_factors(p)
+    np.testing.assert_array_equal(y.user_factors, x.user_factors)
+    np.testing.assert_array_equal(y.service_factors, x.service_factors)
+
+
 def test_load_factors_rejects_wrong_version_and_garbage(tmp_path):
     p = tmp_path / "bad.npz"
     np.savez(p, version=np.int64(99), f=np.int64(1),

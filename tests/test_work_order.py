@@ -1,6 +1,6 @@
 """User-major work order: the view itself, and bit-for-bit agreement of the
 data gradient and the damped curvature product with their stored-order
-formulas."""
+formulas, and of the damped product with the sum of its public parts."""
 
 import numpy as np
 import pytest
@@ -107,6 +107,20 @@ def test_damped_hvp_matches_stored_order_formula(name, f, lambda_r1):
     for seed in range(3):
         v = direction(x.dim, seed)
         assert_same_bits(ctx.damped_hvp(v), stored_order_damped_hvp(x, d, h, v))
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("lambda_r1", [0.0, 0.05])
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_damped_hvp_is_the_sum_of_its_public_parts(name, lambda_r1, gamma):
+    # the inner solver runs exactly the products the acceptance suite checks
+    d, x = problem(name, f=3)
+    h = Hyperparams(f=3, lambda_r1=lambda_r1, lambda_r2=1e-3, gamma=gamma)
+    ctx = CurvatureContext(x, d, h)
+    for seed in range(3):
+        v = direction(x.dim, seed)
+        want = ctx.gn_hvp(v) + ctx.reg_l1_hvp(v) + ctx.reg_l2_hvp(v) + gamma * v
+        assert_same_bits(ctx.damped_hvp(v), want)
 
 
 @pytest.mark.parametrize("name", CASES)
