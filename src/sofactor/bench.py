@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -73,8 +74,11 @@ class GridPointResult:
     def csv_row(self) -> str:
         "One CSV line; a setting the point's model does not read is an empty field."
         s = self.point.settings()
-        cells = (repr(s[name]) if name in s else "" for name in SWEPT_SETTINGS)
-        return f"{','.join(cells)},{self.val_rmse!r},{self.best_epoch},{self.status}"
+        cells = [repr(s[name]) if name in s else "" for name in SWEPT_SETTINGS]
+        out = io.StringIO()  # the csv module quotes a status that holds a comma
+        csv.writer(out, lineterminator="").writerow(
+            [*cells, repr(self.val_rmse), self.best_epoch, self.status])
+        return out.getvalue()
 
 
 def _grid_points(grid: GridSpec, kind: OptimizerKind) -> Iterable[GridPoint]:

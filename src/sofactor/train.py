@@ -149,11 +149,24 @@ def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
     The level count is at least the largest number of observations on
     one user or one service in ``order``; if one entity appears in every
     observation, each level holds a single observation.
+
+    The pass works on stacked tables, factors ``X = [xu; xs]`` and
+    velocities ``V = [vu; vs]`` (service rows offset by the user count),
+    copied in once and back once. One index run is built per epoch, laid
+    out level by level: a level's user rows, then its service rows, so a
+    row's partner sits at the same position in the other half. A level
+    gathers its factor and velocity rows, updates both halves with the
+    scalar loop's elementwise operations in its order, and scatters the
+    rows back. The error is one ``np.subtract.reduce`` down a column
+    buffer whose first row holds the values and whose later rows hold the
+    factor products, so it subtracts left to right as a scalar loop over
+    the factor index does.
     """
+    nu, f = xu.shape
     u_seq = users[order]
     s_seq = services[order]
     level = []
-    last_u = [0] * xu.shape[0]
+    last_u = [0] * nu
     last_s = [0] * xs.shape[0]
     for u, s in zip(u_seq.tolist(), s_seq.tolist()):
         lu = last_u[u]
@@ -164,31 +177,50 @@ def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
         level.append(lv)
     level = np.array(level, dtype=np.int64)
     by_level = np.argsort(level, kind="stable")
-    u_seq = u_seq[by_level]
-    s_seq = s_seq[by_level]
+    level = level[by_level]
     val_seq = values[order[by_level]]
-    ends = np.cumsum(np.bincount(level)).tolist()
+    ends = np.cumsum(np.bincount(level))
+    # sorted position i of a level spanning [start, stop) puts its user
+    # row at i + start and its service row at i + stop in the index run
+    at = np.arange(len(order))
+    idx = np.empty(2 * len(order), dtype=np.int64)
+    idx[at + ends[level - 1]] = u_seq[by_level]
+    idx[at + ends[level]] = s_seq[by_level] + nu
+
+    X = np.concatenate((xu, xs))
+    V = np.concatenate((vu, vs))
+    terms = np.empty((f + 1, np.diff(ends).max(initial=0)))
+    ends = ends.tolist()
     for start, stop in zip(ends[:-1], ends[1:]):
-        u = u_seq[start:stop]
-        s = s_seq[start:stop]
-        xu_rows = xu[u]
-        xs_rows = xs[s]
+        m = stop - start
+        rows = idx[2 * start:2 * stop]
+        R = X.take(rows, axis=0)
+        Vr = V.take(rows, axis=0)
+        halves = R.reshape(2, m, f)  # users, then their services
         # Subtract the products one by one in index order, as a scalar
-        # loop over the factor index does. A dot product (@, np.dot,
-        # einsum) sums in its own order, and momentum 0 would then not
-        # equal plain SGD bit for bit (acceptance criterion 7).
-        err = val_seq[start:stop].copy()
-        for p in (xu_rows * xs_rows).T:
-            err -= p
-        neg_err = (-err)[:, None]
-        gu = neg_err * xs_rows + lam2 * xu_rows
-        gs = neg_err * xu_rows + lam2 * xs_rows
-        vu_rows = momentum * vu[u] - lr * gu
-        vs_rows = momentum * vs[s] - lr * gs
-        vu[u] = vu_rows
-        vs[s] = vs_rows
-        xu[u] = xu_rows + vu_rows
-        xs[s] = xs_rows + vs_rows
+        # loop over the factor index does: subtract.reduce down the
+        # columns of [values; products] goes left to right. A dot product
+        # (@, np.dot, einsum) sums in its own order, and momentum 0 would
+        # then not equal plain SGD bit for bit (acceptance criterion 7).
+        col = terms[:, :m]
+        col[0] = val_seq[start:stop]
+        np.multiply(halves[0].T, halves[1].T, out=col[1:])
+        neg_err = -np.subtract.reduce(col, axis=0)
+        # the scalar loop's operations in its order, the partner of a row
+        # being the same position in the other half:
+        # g = -err * partner + lam2 * row; v = momentum * v - lr * g; row += v
+        g = halves[::-1] * neg_err[:, None]
+        g += lam2 * halves
+        Vr *= momentum
+        g *= lr
+        Vr -= g.reshape(2 * m, f)
+        R += Vr
+        V[rows] = Vr
+        X[rows] = R
+    xu[...] = X[:nu]
+    xs[...] = X[nu:]
+    vu[...] = V[:nu]
+    vs[...] = V[nu:]
 
 
 def _second_order_epoch(x: FactorState, split: SplitDataset, h: Hyperparams,
@@ -208,10 +240,12 @@ def _sgdm_epoch_run(x: FactorState, vel_user: np.ndarray, vel_service: np.ndarra
                     epoch: int) -> int:
     t = split.train.base
     order = np.random.default_rng((h.seed, epoch)).permutation(len(t)).astype(np.int64)
-    _sgdm_epoch(t.users, t.services, t.values, order,
-                x.user_factors, x.service_factors,
-                vel_user, vel_service,
-                kind.learning_rate, kind.momentum, h.lambda_r2)
+    # a diverging run overflows here; train's finiteness check names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        _sgdm_epoch(t.users, t.services, t.values, order,
+                    x.user_factors, x.service_factors,
+                    vel_user, vel_service,
+                    kind.learning_rate, kind.momentum, h.lambda_r2)
     return len(t)
 
 

@@ -1,5 +1,7 @@
 """Grid search and benchmark harness tests."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from sofactor import bench as bench_mod
 from sofactor.bench import (
     BenchTable,
+    GridPoint,
+    GridPointResult,
     GridSpec,
     grid_results_csv,
     grid_search,
@@ -160,6 +164,20 @@ def test_grid_results_csv_layout():
                         "val_rmse,best_epoch,status")
     assert len(lines) == 1 + len(results)
     assert lines[1].endswith(",ok")
+
+
+@pytest.mark.parametrize("status", ["<p, A p> = -0.0 at iteration 1",
+                                    "epoch 2: non-finite RMSE (train=nan, val=inf)"])
+def test_grid_results_csv_quotes_failure_with_comma(status):
+    point = GridPoint(Hyperparams(lambda_r1=0.05, lambda_r2=1e-5, gamma=0.0),
+                      OptimizerKind.drslf())
+    ok = GridPointResult(point, 0.5, 3, "ok")
+    failed = GridPointResult(point, float("nan"), 0, status)
+    rows = list(csv.reader(io.StringIO(grid_results_csv([ok, failed]))))
+    assert [len(r) for r in rows] == [8, 8, 8]
+    assert rows[2][-1] == status
+    # an ok row keeps its unquoted bytes
+    assert ok.csv_row() == "0.05,1e-05,0.0,,,0.5,3,ok"
 
 
 # ------------------------------------------------------------------- bench

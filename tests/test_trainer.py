@@ -1,6 +1,7 @@
 """Training loop tests: determinism, equivalences, early stopping, reporting."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -138,9 +139,11 @@ def sgdm_scalar_reference(users, services, values, orders, xu, xs, vu, vs,
 
 
 def sgdm_kernel_case(case):
-    """(users, services, values, orders, xu0, xs0, momentum) for one
-    kernel test; "mixed" is the synthetic set over three epochs."""
+    """(users, services, values, orders, xu0, xs0, momentum, lam2) for one
+    kernel test; "mixed" is the synthetic set over three epochs, "wide" a
+    denser and larger one whose levels hold many observations each."""
     rng = np.random.default_rng(71)
+    num_users, num_services, f = (30, 40, 20) if case == "wide" else (8, 9, 5)
     if case == "one_user":  # every observation conflicts: one per level
         users, services = np.zeros(9, dtype=np.int64), np.arange(9)
         values = rng.uniform(0.2, 1.0, 9)
@@ -148,7 +151,8 @@ def sgdm_kernel_case(case):
         users, services = np.arange(8), np.zeros(8, dtype=np.int64)
         values = rng.uniform(0.2, 1.0, 8)
     else:
-        t, _ = synth_lowrank(8, 9, 2, 0.5, 0.05, seed=3, init_lo=0.2, init_hi=1.0)
+        t, _ = synth_lowrank(num_users, num_services, 2, 0.5, 0.05, seed=3,
+                             init_lo=0.2, init_hi=1.0)
         users, services, values = t.users, t.services, t.values
     if case == "empty":
         orders = [np.zeros(0, dtype=np.int64)]
@@ -156,24 +160,25 @@ def sgdm_kernel_case(case):
         orders = [np.array([4], dtype=np.int64)]
     else:
         orders = [rng.permutation(len(users)).astype(np.int64) for _ in range(3)]
-    xu0 = rng.uniform(0.2, 1.0, (8, 5))
-    xs0 = rng.uniform(0.2, 1.0, (9, 5))
+    xu0 = rng.uniform(0.2, 1.0, (num_users, f))
+    xs0 = rng.uniform(0.2, 1.0, (num_services, f))
     momentum = 0.0 if case == "momentum_zero" else 0.6
-    return users, services, values, orders, xu0, xs0, momentum
+    lam2 = 0.0 if case == "lam2_zero" else 1e-2
+    return users, services, values, orders, xu0, xs0, momentum, lam2
 
 
 @pytest.mark.parametrize("case", ["mixed", "one_user", "one_service", "empty",
-                                  "single", "momentum_zero"])
+                                  "single", "momentum_zero", "wide", "lam2_zero"])
 def test_sgdm_kernel_matches_scalar_reference(case):
     # the level-scheduled kernel must equal the scalar loop bit for bit
     # on all four arrays it updates
-    users, services, values, orders, xu0, xs0, momentum = sgdm_kernel_case(case)
+    users, services, values, orders, xu0, xs0, momentum, lam2 = sgdm_kernel_case(case)
     args = (users, services, values)
     want = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
-    sgdm_scalar_reference(*args, orders, *want, 0.03, momentum, 1e-2)
+    sgdm_scalar_reference(*args, orders, *want, 0.03, momentum, lam2)
     got = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
     for order in orders:
-        _sgdm_epoch(*args, order, *got, 0.03, momentum, 1e-2)
+        _sgdm_epoch(*args, order, *got, 0.03, momentum, lam2)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
@@ -274,6 +279,16 @@ def test_sgdm_divergence_reports_epoch():
     sp = make_split()
     with pytest.raises(RuntimeError, match="epoch 1"):
         train(sp, so_params(max_epochs=5), OptimizerKind.sgdm(learning_rate=1e6))
+
+
+def test_sgdm_divergence_emits_no_float_warning():
+    # the named divergence error is the only signal: no overflow or
+    # invalid-value RuntimeWarning escapes the kernel first
+    sp = make_split()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="epoch 1: factors diverged"):
+            train(sp, so_params(max_epochs=5), OptimizerKind.sgdm(learning_rate=1e6))
 
 
 def test_cg_failure_carries_epoch_index(monkeypatch):
