@@ -11,8 +11,10 @@ Two text formats are supported:
   comment that runs to the end of its line, and blank lines are skipped.
 
 Both loaders parse with ``np.loadtxt``: ids are decimal integers with an
-optional sign, values decimal or exponent reals (``nan`` and ``inf``
-parse, then fail validation); ``1_0`` and ``0x10`` are rejected.
+optional sign, values decimal or exponent reals; ``1_0`` and ``0x10`` are
+rejected. ``nan`` and ``inf`` parse: a triple holding one is rejected,
+and in a dense file ``inf`` is rejected while ``nan`` and ``-inf``, being
+not >= 0, are missing cells.
 """
 
 from __future__ import annotations
@@ -48,6 +50,13 @@ class TripleSet:
     ``max(num_users * num_services, max(num_users, num_services) * len)``
     within int64, so that the sort keys of the duplicate check and of
     ``build_index`` are exact.
+
+    Two callers inside this module build sets whose contents already
+    hold these invariants through ``_trusted``, which keeps the dtype
+    normalisation and the O(1) checks but skips the scans and the sort:
+    ``split``, whose parts are disjoint slices of a valid set, and
+    ``load_dense_matrix``, whose cells are distinct and in range by
+    construction and whose values it checks itself.
     """
 
     num_users: int
@@ -57,20 +66,9 @@ class TripleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "users", np.ascontiguousarray(self.users, dtype=np.int64))
-        object.__setattr__(self, "services", np.ascontiguousarray(self.services, dtype=np.int64))
-        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
-        if not (len(self.users) == len(self.services) == len(self.values)):
-            raise ValueError("users/services/values length mismatch")
-        nu, ns, n = int(self.num_users), int(self.num_services), len(self.users)
-        if nu < 0 or ns < 0:
-            raise ValueError("negative dimensions")
-        # users * ns + services is below nu * ns, and _grouped's
-        # ids * n + position below max(nu, ns) * n
-        if max(nu * ns, max(nu, ns) * n) > _INT64_MAX:
-            raise ValueError(
-                f"{nu} x {ns} matrix with {n} observations is too large for int64 sort keys")
-        if n > 0:
+        self._normalise()
+        nu, ns = int(self.num_users), int(self.num_services)
+        if len(self) > 0:
             if self.users.min() < 0 or self.services.min() < 0:
                 raise ValueError("negative id")
             if self.users.max() >= nu:
@@ -89,14 +87,35 @@ class TripleSet:
                 u, s = divmod(int(keys[np.argmax(dup)]), ns)
                 raise ValueError(f"duplicate (user, service) pair ({u}, {s})")
 
+    def _normalise(self):
+        "int64/float64 contiguous arrays, and the checks that take O(1)."
+        object.__setattr__(self, "users", np.ascontiguousarray(self.users, dtype=np.int64))
+        object.__setattr__(self, "services", np.ascontiguousarray(self.services, dtype=np.int64))
+        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
+        if not (len(self.users) == len(self.services) == len(self.values)):
+            raise ValueError("users/services/values length mismatch")
+        nu, ns, n = int(self.num_users), int(self.num_services), len(self.users)
+        if nu < 0 or ns < 0:
+            raise ValueError("negative dimensions")
+        # users * ns + services is below nu * ns, and _grouped's
+        # ids * n + position below max(nu, ns) * n
+        if max(nu * ns, max(nu, ns) * n) > _INT64_MAX:
+            raise ValueError(
+                f"{nu} x {ns} matrix with {n} observations is too large for int64 sort keys")
+
     def __len__(self) -> int:
         return len(self.users)
 
-    def subset(self, obs_indices: np.ndarray) -> "TripleSet":
-        """New TripleSet with the selected observations, same dimensions."""
-        idx = np.asarray(obs_indices, dtype=np.int64)
-        return TripleSet(self.num_users, self.num_services,
-                         self.users[idx], self.services[idx], self.values[idx])
+
+def _trusted(num_users, num_services, users, services, values) -> TripleSet:
+    """A TripleSet whose ids the caller knows to be in range and pairwise
+    distinct, and whose values it knows to be finite: built without the
+    scans and the duplicate sort of the public constructor."""
+    t = object.__new__(TripleSet)
+    t.__dict__.update(num_users=num_users, num_services=num_services,
+                      users=users, services=services, values=values)
+    t._normalise()
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,12 +323,12 @@ def _is_real(token: str) -> bool:
 def load_dense_matrix(path) -> TripleSet:
     """Parse a whitespace-separated dense matrix file into a TripleSet.
 
-    Row index = user id, column index = service id. Any strictly
-    negative cell is treated as missing and not stored. Raises
-    ValueError with the offending line number on ragged rows (a blank
-    line has 0 columns) or non-numeric tokens (``#`` among them); an
-    empty or all-blank file is the empty 0 x 0 set. I/O problems
-    propagate as OSError.
+    Row index = user id, column index = service id. Any cell that is
+    not >= 0 (negative, ``nan`` or ``-inf``) is treated as missing and
+    not stored. Raises ValueError with the offending line number on
+    ragged rows (a blank line has 0 columns), non-numeric tokens (``#``
+    among them) or an ``inf`` cell; an empty or all-blank file is the
+    empty 0 x 0 set. I/O problems propagate as OSError.
     """
     try:
         matrix = _loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
@@ -320,9 +339,17 @@ def load_dense_matrix(path) -> TripleSet:
                          np.empty(0, np.float64))
     if len(matrix) != _count_lines(path):
         raise _dense_error(path, "np.loadtxt skipped a line") from None
-    users, services = np.nonzero(matrix >= 0)
-    return TripleSet(matrix.shape[0], matrix.shape[1], users, services,
-                     matrix[users, services])
+    keep = matrix >= 0
+    users, services = np.nonzero(keep)
+    values = matrix[keep]  # row-major, the order of np.nonzero
+    finite = np.isfinite(values)
+    if not finite.all():
+        # no line was skipped (checked above), so row r is line r + 1
+        row = int(users[np.argmin(finite)])
+        raise ValueError(f"{path}:{row + 1}: non-finite value")
+    # np.nonzero names each cell of the matrix at most once, inside its
+    # shape, and the kept values were just checked: _trusted's contract
+    return _trusted(matrix.shape[0], matrix.shape[1], users, services, values)
 
 
 def _dense_error(path, cause) -> ValueError:
@@ -469,10 +496,18 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
             f"{n} observations cannot give every part >= 1 element "
             f"(sizes {n_train}/{n_val}/{n_test})")
     perm = np.random.default_rng(seed).permutation(n)
+
+    def part(idx):
+        # idx is a slice of one permutation, so the parts are disjoint
+        # subsets of t: their ids lie in t's range, their pairs are
+        # distinct and their values finite because t's are
+        return _trusted(t.num_users, t.num_services,
+                        t.users[idx], t.services[idx], t.values[idx])
+
     return SplitDataset(
-        train=build_index(t.subset(perm[:n_train]), role="train"),
-        validation=IndexedDataset(t.subset(perm[n_train:n_train + n_val]), role="validation"),
-        test=IndexedDataset(t.subset(perm[n_train + n_val:]), role="test"))
+        train=build_index(part(perm[:n_train]), role="train"),
+        validation=IndexedDataset(part(perm[n_train:n_train + n_val]), role="validation"),
+        test=IndexedDataset(part(perm[n_train + n_val:]), role="test"))
 
 
 def synth_lowrank(num_users: int, num_services: int, rank: int, density: float,

@@ -237,8 +237,18 @@ def l2_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray
 
 
 def gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray:
-    "Gradient of objective() as a flat parameter vector."
-    return data_gradient(x, d) + l1_gradient(x, d, h) + l2_gradient(x, d, h)
+    """Gradient of objective() as a flat parameter vector.
+
+    A regulariser part at weight 0 is not added: it is all zeros, and
+    the data gradient is never -0.0 (its sums start at +0.0), so adding
+    it would change no bit.
+    """
+    g = data_gradient(x, d)
+    if h.lambda_r1 > 0:
+        g += l1_gradient(x, d, h)
+    if h.lambda_r2 > 0:
+        g += l2_gradient(x, d, h)
+    return g
 
 
 def save_factors(path, x: FactorState) -> None:

@@ -405,6 +405,54 @@ def test_load_dense_matrix_empty_or_blank_file_is_empty_set(tmp_path, body):
     assert (t.num_users, t.num_services, len(t)) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("body,line", [
+    ("1 inf\n2 3\n", 1),
+    ("1 2\n-1 3\n4 +inf\n", 3),
+    ("-1 2\n3 nan\ninf -inf\n", 3),
+])
+def test_load_dense_matrix_inf_cell_cites_line(tmp_path, body, line):
+    p = tmp_path / "m.txt"
+    p.write_text(body)
+    with pytest.raises(ValueError, match=rf"m\.txt:{line}: non-finite value$"):
+        load_dense_matrix(p)
+
+
+def test_load_dense_matrix_nan_and_minus_inf_are_missing(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("1 nan\n-inf 3\n")
+    t = load_dense_matrix(p)
+    assert (t.num_users, t.num_services) == (2, 2)
+    got = {(u, s): v for u, s, v in zip(t.users.tolist(), t.services.tolist(), t.values.tolist())}
+    assert got == {(0, 0): 1.0, (1, 1): 3.0}
+
+
+def parent_formula_dense(matrix):
+    "The dense loader's triples as np.nonzero, a pairwise gather and the public constructor give them."
+    users, services = np.nonzero(matrix >= 0)
+    return TripleSet(matrix.shape[0], matrix.shape[1], users, services, matrix[users, services])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (7, 5), (40, 33)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_load_dense_matrix_matches_nonzero_formula_byte_for_byte(tmp_path, shape, seed):
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(0, 5, shape)
+    kind = rng.integers(0, 6, shape)
+    matrix[kind == 0] = -1.0
+    matrix[kind == 1] = 0.0
+    matrix[kind == 2] = -0.0  # >= 0, so an observation, sign kept
+    matrix[kind == 3] = np.nan
+    matrix[kind == 4] = -np.inf
+    p = tmp_path / "m.txt"
+    p.write_text("".join(" ".join(map(repr, row.tolist())) + "\n" for row in matrix))
+    got, want = load_dense_matrix(p), parent_formula_dense(matrix)
+    assert (got.num_users, got.num_services) == (want.num_users, want.num_services)
+    for name in ("users", "services", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.flags.c_contiguous
+        assert a.tobytes() == b.tobytes()
+
+
 def test_load_triples_empty_file_warns_nothing(tmp_path):
     p = tmp_path / "t.txt"
     p.write_text("\n# only a comment\n")
@@ -558,6 +606,46 @@ def test_split_builds_only_the_train_groupings():
                 a, b = getattr(got, field), getattr(ref, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert getattr(part, name) is got  # cached
+
+
+@st.composite
+def small_triple_sets(draw):
+    "Valid sets of up to 8 x 8 cells: empty rows and columns, and single observations, included."
+    nu, ns = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = np.array(draw(st.lists(st.integers(0, nu * ns - 1), min_size=1,
+                                   max_size=nu * ns, unique=True)), dtype=np.int64)
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(cells), max_size=len(cells)))
+    return TripleSet(nu, ns, cells // ns, cells % ns, np.array(values))
+
+
+@given(t=small_triple_sets(), train_frac=st.floats(0.01, 0.98),
+       val_share=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_split_parts_are_valid_sets_covering_t_in_permutation_order(
+        t, train_frac, val_share, seed):
+    # split builds its parts without re-checking them; this is the oracle
+    # for the checks it skips
+    val_frac = min((1 - train_frac) * val_share, 0.99)
+    n = len(t)
+    n_train, n_val = int(np.floor(n * train_frac)), int(np.floor(n * val_frac))
+    if min(n_train, n_val, n - n_train - n_val) < 1:
+        with pytest.raises(ValueError, match=">= 1 element"):
+            split(t, train_frac, val_frac, seed)
+        return
+    sp = split(t, train_frac, val_frac, seed)
+    parts = [sp.train.base, sp.validation.base, sp.test.base]
+    assert [len(p) for p in parts] == [n_train, n_val, n - n_train - n_val]
+    for p in parts:
+        TripleSet(p.num_users, p.num_services, p.users, p.services, p.values)
+        assert (p.num_users, p.num_services) == (t.num_users, t.num_services)
+    # together they are t in the order of the split's permutation, and,
+    # as one set, still free of repeated pairs
+    perm = np.random.default_rng(seed).permutation(n)
+    joined = [np.concatenate([getattr(p, name) for p in parts])
+              for name in ("users", "services", "values")]
+    TripleSet(t.num_users, t.num_services, *joined)
+    for got, want in zip(joined, (t.users, t.services, t.values)):
+        assert got.tobytes() == want[perm].tobytes()
 
 
 @pytest.mark.parametrize("tf,vf", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.7, 0.4)])

@@ -98,6 +98,20 @@ def test_gradient_matches_stored_order_formula(name, f, lambda_r1):
 
 
 @pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("f", [1, 3, 20])
+@pytest.mark.parametrize("lambda_r2", [0.0, 1e-5, 0.3])
+@pytest.mark.parametrize("zero", [False, True], ids=["random", "signed-zeros"])
+def test_gradient_without_l1_is_the_three_part_sum_bit_for_bit(name, f, lambda_r2, zero):
+    # gradient() adds no all-zero part; the sum with every part, zeros
+    # included, must have the same bytes, signs of zeros among them
+    # (zero=True draws factors of +0.0 and -0.0)
+    d, x = problem(name, f, zero=zero)
+    h = Hyperparams(f=f, lambda_r1=0.0, lambda_r2=lambda_r2)
+    assert_same_bits(gradient(x, d, h),
+                     data_gradient(x, d) + l1_gradient(x, d, h) + l2_gradient(x, d, h))
+
+
+@pytest.mark.parametrize("name", CASES)
 @pytest.mark.parametrize("f", [1, 20])
 @pytest.mark.parametrize("lambda_r1", [0.0, 0.05])
 def test_damped_hvp_matches_stored_order_formula(name, f, lambda_r1):
