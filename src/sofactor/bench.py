@@ -113,9 +113,12 @@ def grid_search(split_data, grid: GridSpec, kind: Optional[OptimizerKind] = None
     best_val = float("inf")
     for point in _grid_points(grid, kind):
         try:
-            state, _report = train(split_data, point.hyperparams, point.kind)
-            val = rmse(state, split_data.validation)
-            best_epoch = _report.best_epoch
+            state, report = train(split_data, point.hyperparams, point.kind)
+            best_epoch = report.best_epoch
+            # state is the best epoch's model, whose validation RMSE train
+            # measured with the same rmse; with no epochs it is the init
+            val = (report.epochs[best_epoch - 1].val_rmse if report.epochs
+                   else rmse(state, split_data.validation))
             status = "ok"
         except RuntimeError as exc:
             val = float("nan")

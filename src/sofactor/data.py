@@ -340,16 +340,20 @@ def load_dense_matrix(path) -> TripleSet:
     if len(matrix) != _count_lines(path):
         raise _dense_error(path, "np.loadtxt skipped a line") from None
     keep = matrix >= 0
-    users, services = np.nonzero(keep)
-    values = matrix[keep]  # row-major, the order of np.nonzero
+    # np.nonzero(keep), from one flat scan: each row's kept cells in
+    # row-major order, the row repeated once per kept cell
+    rows, cols = matrix.shape
+    users = np.repeat(np.arange(rows, dtype=np.int64), np.count_nonzero(keep, axis=1))
+    services = np.flatnonzero(keep) - users * cols
+    values = matrix[keep]  # row-major, the order of the ids
     finite = np.isfinite(values)
     if not finite.all():
         # no line was skipped (checked above), so row r is line r + 1
         row = int(users[np.argmin(finite)])
         raise ValueError(f"{path}:{row + 1}: non-finite value")
-    # np.nonzero names each cell of the matrix at most once, inside its
+    # the ids name each cell of the matrix at most once, inside its
     # shape, and the kept values were just checked: _trusted's contract
-    return _trusted(matrix.shape[0], matrix.shape[1], users, services, values)
+    return _trusted(rows, cols, users, services, values)
 
 
 def _dense_error(path, cause) -> ValueError:

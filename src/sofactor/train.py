@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cg import cg_solve
+from .cg import CgResult, cg_solve
 from .curvature import CurvatureContext
 from .data import SplitDataset
 from .model import FactorState, Hyperparams, gradient, init_factors, rmse
@@ -224,7 +224,8 @@ def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
 
 
 def _second_order_epoch(x: FactorState, split: SplitDataset, h: Hyperparams,
-                        epoch: int) -> int:
+                        epoch: int) -> CgResult:
+    "One damped Newton step, added to x in place; returns the solve."
     ctx = CurvatureContext(x, split.train, h)
     g = gradient(x, split.train, h)
     try:
@@ -232,7 +233,7 @@ def _second_order_epoch(x: FactorState, split: SplitDataset, h: Hyperparams,
     except RuntimeError as exc:
         raise type(exc)(f"epoch {epoch}: {exc}") from exc
     x.add_vector(result.delta)
-    return result.iterations
+    return result
 
 
 def _sgdm_epoch_run(x: FactorState, vel_user: np.ndarray, vel_service: np.ndarray,
@@ -273,13 +274,22 @@ def train(split: SplitDataset, h: Hyperparams,
         vel_user = np.zeros_like(x.user_factors)
         vel_service = np.zeros_like(x.service_factors)
     stop_reason = "max_epochs"
+    # An epoch's second-order update is a pure function of x, split.train
+    # and h, and the factors never hold -0.0: init draws lo + (hi - lo) * u
+    # with (hi - lo) * u >= +0.0, and a sum with an operand that is not
+    # -0.0 is never -0.0. So an exactly zero step leaves every bit of x
+    # as it was, and every later epoch would repeat the same solve and
+    # the same zero step; those epochs keep its iteration count instead.
+    zero_step = False
 
     for epoch in range(1, h.max_epochs + 1):
         started = time.perf_counter()
         if kind.name == "SGDM":
             inner = _sgdm_epoch_run(x, vel_user, vel_service, split, h, kind, epoch)
-        else:
-            inner = _second_order_epoch(x, split, h, epoch)
+        elif not zero_step:
+            result = _second_order_epoch(x, split, h, epoch)
+            inner, zero_step = result.iterations, not result.delta.any()
+            del result  # holds no step vector into the next epoch's solve
         wall_ms = (time.perf_counter() - started) * 1e3
 
         if not (np.isfinite(x.user_factors).all() and np.isfinite(x.service_factors).all()):

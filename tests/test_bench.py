@@ -123,6 +123,26 @@ def test_grid_search_tie_breaks_lexicographically():
     assert best.hyperparams.gamma == 0.5
 
 
+@pytest.mark.parametrize("epochs", [0, 8])
+def test_grid_search_reads_validation_rmse_from_report(monkeypatch, epochs):
+    # train already measured the best epoch's validation RMSE; grid_search
+    # re-measures only the init model of a run with no epochs
+    _, sp = tiny_problem()
+    calls = []
+
+    def counting(state, eval_set):
+        calls.append(eval_set.role)
+        return rmse(state, eval_set)
+
+    monkeypatch.setattr(bench_mod, "rmse", counting)
+    _, results = grid_search(sp, small_grid(fixed=fast_h(max_epochs=epochs)),
+                             OptimizerKind.drslf())
+    assert calls == ["validation"] * (len(results) if epochs == 0 else 0)
+    for r in results:
+        state, _ = bench_mod.train(sp, r.point.hyperparams, r.point.kind)
+        assert r.val_rmse == rmse(state, sp.validation)
+
+
 def test_grid_search_axes_per_optimizer():
     _, sp = tiny_problem()
     grid = small_grid(fixed=fast_h(max_epochs=1))

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from sofactor.cg import IndefiniteOperatorError
+from sofactor.cg import IndefiniteOperatorError, cg_solve
+from sofactor.curvature import CurvatureContext
 from sofactor.data import split, synth_lowrank
-from sofactor.model import Hyperparams, init_factors, rmse
+from sofactor.model import Hyperparams, gradient, init_factors, rmse
 
 train_mod = importlib.import_module("sofactor.train")
 from sofactor.train import (
@@ -271,6 +272,77 @@ def test_inner_iteration_counts():
     _, r_sgd = train(sp, so_params(max_epochs=2, patience=50),
                      OptimizerKind.sgdm(0.05, 0.5))
     assert all(r.inner_iters == len(sp.train) for r in r_sgd.epochs)
+
+
+# ------------------------------------------------------------ zero-step reuse
+
+def counted_solves(monkeypatch):
+    "Patch the loop's cg_solve to record each result; returns the list."
+    results = []
+
+    def counting(*args, **kwargs):
+        results.append(cg_solve(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(train_mod, "cg_solve", counting)
+    return results
+
+
+def fresh_solve(x, sp, h):
+    "One epoch's solve at x, with a new context and gradient."
+    return cg_solve(CurvatureContext(x, sp.train, h).damped_hvp,
+                    gradient(x, sp.train, h), h.tau, h.cg_max_iters)
+
+
+@pytest.mark.parametrize("h, iters", [
+    (Hyperparams(max_epochs=6, patience=50), 0),  # |g|_inf <= tau
+    (Hyperparams(lambda_r1=1.0, tau=0.1, max_epochs=6, patience=50), 10),  # none better
+], ids=["no-iteration", "no-better-iterate"])
+def test_zero_step_is_solved_once(monkeypatch, h, iters):
+    sp = make_split()
+    solves = counted_solves(monkeypatch)
+    x, report = train(sp, h)
+    assert len(solves) == 1 and not solves[0].delta.any()
+    first = report.epochs[0]
+    assert first.inner_iters == iters
+    assert len(report.epochs) == 6
+    assert all((r.train_rmse, r.val_rmse, r.inner_iters)
+               == (first.train_rmse, first.val_rmse, first.inner_iters)
+               for r in report.epochs)
+    assert first.inner_iters == solves[0].iterations
+    t = sp.train.base
+    init = init_factors(t.num_users, t.num_services, h)
+    np.testing.assert_array_equal(x.user_factors, init.user_factors)
+    np.testing.assert_array_equal(x.service_factors, init.service_factors)
+    # the premise of the reuse: a fresh solve at the returned factors is
+    # the same zero step after the same iteration count
+    again = fresh_solve(x, sp, h)
+    assert not again.delta.any() and again.iterations == first.inner_iters
+
+
+def test_zero_step_after_a_useful_step_is_solved_once(monkeypatch):
+    sp = make_split()
+    h = Hyperparams(lambda_r1=0.5, tau=1e-3, max_epochs=6, patience=50)
+    solves = counted_solves(monkeypatch)
+    x, report = train(sp, h)
+    assert len(solves) == 2
+    assert solves[0].delta.any() and not solves[1].delta.any()
+    second = report.epochs[1]
+    assert all((r.train_rmse, r.val_rmse, r.inner_iters)
+               == (second.train_rmse, second.val_rmse, second.inner_iters)
+               for r in report.epochs[1:])
+    again = fresh_solve(x, sp, h)
+    assert not again.delta.any() and again.iterations == second.inner_iters
+
+
+@pytest.mark.parametrize("kind", [OptimizerKind.drslf(), OptimizerKind.slf()])
+def test_stepping_run_solves_every_epoch(monkeypatch, kind):
+    sp = make_split()
+    solves = counted_solves(monkeypatch)
+    _, report = train(sp, so_params(max_epochs=6, patience=50), kind)
+    assert len(report.epochs) == 6 and len(solves) == 6
+    assert all(s.delta.any() for s in solves)
+    assert [r.inner_iters for r in report.epochs] == [s.iterations for s in solves]
 
 
 # ------------------------------------------------------------------ failures
