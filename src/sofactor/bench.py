@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields, replace
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .data import TripleSet, split
+from .data import TripleSet, check_fractions, split
 from .model import Hyperparams, rmse
 from .train import OptimizerKind, train
 
@@ -207,6 +207,8 @@ def run_benchmark(data: TripleSet,
         raise ValueError("duplicate model in request")
     if len(set(label for label, _, _ in configs)) != len(configs):
         raise ValueError("duplicate dataset label in request")
+    for _, train_frac, val_frac in configs:
+        check_fractions(train_frac, val_frac)
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seed in request")
     if not isinstance(h, Hyperparams):

@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import IndexedDataset
-from .model import (FactorState, Hyperparams, jacobian_transpose_vector, pack_blocks,
-                    split_vector)
+from .model import FactorState, Hyperparams, entity_counts, jacobian_transpose_vector
 from .sddmm import sampled_dots
 
 
@@ -30,15 +29,16 @@ class CurvatureContext:
     """Precomputed pieces for repeated curvature products at a fixed point.
 
     Built once per outer epoch from the current factors, the indexed
-    train split, and hyperparameters. It caches the diagonal regularizer
-    coefficients (the L1 ones only when lambda_r1 > 0, since the L1 term
-    is absent otherwise) and one J v scratch buffer. Every product is one
-    blocked gather pass in the train set's user-major order (J v reads
-    its factor rows from x block by block, holding no per-observation
-    copy) plus two sparse accumulations. The context must be treated as
-    read-only and rebuilt whenever x changes: it keeps references to the
-    factor matrices, so mutating x while a context is live invalidates
-    it.
+    train split, and hyperparameters. It caches the regularizer
+    diagonals in the layout of ``x.table`` (an L1 table only when
+    lambda_r1 > 0, since the L1 term is absent otherwise, and an L2
+    column of per-row weights) and one J v scratch buffer. Every product
+    is one blocked gather pass in the train set's user-major order (J v
+    reads its factor rows from x block by block, holding no
+    per-observation copy) plus two sparse accumulations. The context
+    must be treated as read-only and rebuilt whenever x changes: it
+    keeps a reference to x, so mutating x while a context is live
+    invalidates it.
     """
 
     def __init__(self, x: FactorState, data: IndexedDataset, h: Hyperparams):
@@ -47,22 +47,15 @@ class CurvatureContext:
         self.x = x
         self.data = data
         self.h = h
-        self.dim = x.dim
         self._jv = np.empty(len(data))  # scratch reused across products
-        cu = data.by_user.counts[:, None].astype(np.float64)
-        cs = data.by_service.counts[:, None].astype(np.float64)
-        self._l1_diag_u = self._l1_diag_s = None
+        c = entity_counts(data)
+        self._l1_diag = None
         if h.lambda_r1 > 0:
             # diagonal Hessian of the smooth L1 term:
             #   d^2/dx^2 sqrt(x^2 + eps) = eps / (x^2 + eps)^(3/2)
             e = h.epsilon
-            self._l1_diag_u = h.lambda_r1 * cu * e / np.power(x.user_factors ** 2 + e, 1.5)
-            self._l1_diag_s = h.lambda_r1 * cs * e / np.power(x.service_factors ** 2 + e, 1.5)
-        self._l2_diag_u = h.lambda_r2 * cu
-        self._l2_diag_s = h.lambda_r2 * cs
-
-    def _views(self, v: np.ndarray):
-        return split_vector(v, self.x.num_users, self.x.num_services, self.x.f)
+            self._l1_diag = h.lambda_r1 * c * e / np.power(x.table ** 2 + e, 1.5)
+        self._l2_diag = h.lambda_r2 * c
 
     def jacobian_vector(self, v: np.ndarray) -> np.ndarray:
         """J v: directional derivative of every prediction, one entry per
@@ -72,7 +65,7 @@ class CurvatureContext:
         Returns the context's scratch buffer, which the next product
         overwrites; copy it to keep it.
         """
-        vu, vs = self._views(v)
+        vu, vs = np.split(self.x.as_table(v), [self.x.num_users])
         um = self.data.user_major
         return sampled_dots(um.users, um.services,
                             ((vu, self.x.service_factors), (self.x.user_factors, vs)),
@@ -83,14 +76,12 @@ class CurvatureContext:
         return jacobian_transpose_vector(self.x, self.data, self.jacobian_vector(v))
 
     def reg_l1_hvp(self, v: np.ndarray) -> np.ndarray:
-        if self._l1_diag_u is None:
-            return np.zeros(self.dim)
-        vu, vs = self._views(v)
-        return pack_blocks(self._l1_diag_u * vu, self._l1_diag_s * vs)
+        if self._l1_diag is None:
+            return np.zeros(self.x.dim)
+        return (self._l1_diag * self.x.as_table(v)).ravel()
 
     def reg_l2_hvp(self, v: np.ndarray) -> np.ndarray:
-        vu, vs = self._views(v)
-        return pack_blocks(self._l2_diag_u * vu, self._l2_diag_s * vs)
+        return (self._l2_diag * self.x.as_table(v)).ravel()
 
     def damped_hvp(self, v: np.ndarray) -> np.ndarray:
         """(G_E + gamma*I) v: the operator handed to the inner solver.
@@ -104,7 +95,7 @@ class CurvatureContext:
         """
         v = np.asarray(v, dtype=np.float64)
         out = self.gn_hvp(v)
-        if self._l1_diag_u is not None:
+        if self._l1_diag is not None:
             out += self.reg_l1_hvp(v)
         out += self.reg_l2_hvp(v)
         if self.h.gamma != 0:

@@ -478,6 +478,14 @@ def load_dataset(path, fmt: str = "auto") -> TripleSet:
     return load_triples(path)
 
 
+def check_fractions(train_frac: float, val_frac: float) -> None:
+    "Reject a train/validation fraction pair that split cannot honour."
+    if not (0 < train_frac < 1 and 0 < val_frac < 1):
+        raise ValueError("fractions must lie in (0, 1)")
+    if train_frac + val_frac > 1:
+        raise ValueError("train_frac + val_frac must not exceed 1")
+
+
 def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitDataset:
     """Partition a TripleSet into train/validation/test by a seeded shuffle.
 
@@ -487,10 +495,7 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     validation and test parts build theirs on first use, if any, since
     evaluation reads only ``base``.
     """
-    if not (0 < train_frac < 1 and 0 < val_frac < 1):
-        raise ValueError("fractions must lie in (0, 1)")
-    if train_frac + val_frac > 1:
-        raise ValueError("train_frac + val_frac must not exceed 1")
+    check_fractions(train_frac, val_frac)
     n = len(t)
     n_train = math.floor(n * train_frac)
     n_val = math.floor(n * val_frac)

@@ -17,7 +17,7 @@ small factor entries toward zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,13 @@ from .data import IndexedDataset, TripleSet
 from .sddmm import sampled_dots
 
 FORMAT_VERSION = 1
+
+
+def check_finite_fields(obj) -> None:
+    "Reject a NaN or infinite value in any float field of the dataclass obj."
+    for fd in fields(obj):
+        if isinstance(fd.default, float) and not math.isfinite(getattr(obj, fd.name)):
+            raise ValueError(f"{fd.name} must be finite, got {getattr(obj, fd.name)}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +58,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite_fields(self)
         if self.f < 1:
             raise ValueError("f must be >= 1")
         if self.lambda_r1 < 0 or self.lambda_r2 < 0:
@@ -71,73 +79,74 @@ class Hyperparams:
             raise ValueError("init range must satisfy init_lo < init_hi")
 
 
-@dataclass(eq=False)
 class FactorState:
     """Rank-f factor matrices; the full parameter point of a model.
 
-    The flat parameter vector layout is all user rows (row-major) then
-    all service rows, giving (num_users + num_services) * f entries.
+    The parameters live in one new C-contiguous ``table`` of shape
+    (num_users + num_services, f), user rows first; ``user_factors`` and
+    ``service_factors`` are views of its two row ranges. The flat
+    parameter vector is ``table`` in row-major order; ``as_table`` views
+    a flat vector as a table.
     """
 
-    f: int
-    user_factors: np.ndarray
-    service_factors: np.ndarray
-
-    def __post_init__(self):
-        self.user_factors = np.ascontiguousarray(self.user_factors, dtype=np.float64)
-        self.service_factors = np.ascontiguousarray(self.service_factors, dtype=np.float64)
-        if self.user_factors.ndim != 2 or self.service_factors.ndim != 2:
+    def __init__(self, f: int, user_factors, service_factors):
+        user_factors = np.asarray(user_factors, dtype=np.float64)
+        service_factors = np.asarray(service_factors, dtype=np.float64)
+        if user_factors.ndim != 2 or service_factors.ndim != 2:
             raise ValueError("factor matrices must be 2-d")
-        if self.user_factors.shape[1] != self.f or self.service_factors.shape[1] != self.f:
+        if user_factors.shape[1] != f or service_factors.shape[1] != f:
             raise ValueError("factor matrices must have f columns")
-        if not (np.isfinite(self.user_factors).all() and np.isfinite(self.service_factors).all()):
+        self.f = f
+        self.num_users = user_factors.shape[0]
+        self.table = np.concatenate((user_factors, service_factors))
+        if not np.isfinite(self.table).all():
             raise ValueError("non-finite factor entry")
 
     @property
-    def num_users(self) -> int:
-        return self.user_factors.shape[0]
+    def user_factors(self) -> np.ndarray:
+        return self.table[:self.num_users]
+
+    @property
+    def service_factors(self) -> np.ndarray:
+        return self.table[self.num_users:]
 
     @property
     def num_services(self) -> int:
-        return self.service_factors.shape[0]
+        return self.table.shape[0] - self.num_users
 
     @property
     def dim(self) -> int:
         "Length of the flat parameter vector."
-        return (self.num_users + self.num_services) * self.f
+        return self.table.size
+
+    def as_table(self, vec: np.ndarray) -> np.ndarray:
+        "A view of the flat parameter vector vec in the shape of ``table``."
+        return _rows(vec, *self.table.shape)
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.user_factors.ravel(), self.service_factors.ravel()])
+        return self.table.flatten()
 
     @classmethod
     def from_vector(cls, num_users: int, num_services: int, f: int,
                     vec: np.ndarray) -> "FactorState":
-        vu, vs = split_vector(vec, num_users, num_services, f)
-        return cls(f=f, user_factors=vu.copy(), service_factors=vs.copy())
+        table = _rows(vec, num_users + num_services, f)
+        return cls(f=f, user_factors=table[:num_users], service_factors=table[num_users:])
 
     def add_vector(self, vec: np.ndarray) -> None:
         "In-place parameter update x <- x + vec."
-        vu, vs = split_vector(vec, self.num_users, self.num_services, self.f)
-        self.user_factors += vu
-        self.service_factors += vs
+        self.table += self.as_table(vec)
 
     def copy(self) -> "FactorState":
-        return FactorState(f=self.f, user_factors=self.user_factors.copy(),
-                           service_factors=self.service_factors.copy())
+        return FactorState(f=self.f, user_factors=self.user_factors,
+                           service_factors=self.service_factors)
 
 
-def split_vector(vec: np.ndarray, num_users: int, num_services: int, f: int):
-    """Views of a flat parameter vector as (user block, service block)."""
+def _rows(vec: np.ndarray, num_rows: int, f: int) -> np.ndarray:
+    "A flat parameter vector viewed as num_rows rows of f entries."
     vec = np.asarray(vec, dtype=np.float64)
-    expected = (num_users + num_services) * f
-    if vec.shape != (expected,):
-        raise ValueError(f"parameter vector has shape {vec.shape}, expected ({expected},)")
-    cut = num_users * f
-    return vec[:cut].reshape(num_users, f), vec[cut:].reshape(num_services, f)
-
-
-def pack_blocks(user_block: np.ndarray, service_block: np.ndarray) -> np.ndarray:
-    return np.concatenate([user_block.ravel(), service_block.ravel()])
+    if vec.shape != (num_rows * f,):
+        raise ValueError(f"parameter vector has shape {vec.shape}, expected ({num_rows * f},)")
+    return vec.reshape(num_rows, f)
 
 
 def init_factors(num_users: int, num_services: int, h: Hyperparams) -> FactorState:
@@ -177,6 +186,12 @@ def rmse(x: FactorState, eval_set: IndexedDataset) -> float:
     return math.sqrt(float(r @ r) / len(eval_set))
 
 
+def entity_counts(d: IndexedDataset) -> np.ndarray:
+    """Observation counts of d's users, then its services, as one int64
+    column: row e weights row e of a ``FactorState.table``."""
+    return np.concatenate((d.by_user.counts, d.by_service.counts))[:, None]
+
+
 def _smooth_abs(block: np.ndarray, epsilon: float) -> np.ndarray:
     return np.sqrt(block * block + epsilon)
 
@@ -204,7 +219,7 @@ def jacobian_transpose_vector(x: FactorState, d: IndexedDataset,
     of w * x_u."""
     wu = d.user_weighted_sums(w, x.service_factors)
     ws = d.service_weighted_sums(w, x.user_factors)
-    return pack_blocks(wu, ws)
+    return np.concatenate((wu, ws)).ravel()
 
 
 def data_gradient(x: FactorState, d: IndexedDataset) -> np.ndarray:
@@ -220,20 +235,14 @@ def l1_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray
     """Gradient of the smooth L1 term: lambda_r1 * |K_e| * x / sqrt(x^2 + eps)."""
     if h.lambda_r1 == 0:
         return np.zeros(x.dim)
-    cu = d.by_user.counts[:, None]
-    cs = d.by_service.counts[:, None]
-    gu = h.lambda_r1 * cu * x.user_factors / _smooth_abs(x.user_factors, h.epsilon)
-    gs = h.lambda_r1 * cs * x.service_factors / _smooth_abs(x.service_factors, h.epsilon)
-    return pack_blocks(gu, gs)
+    return (h.lambda_r1 * entity_counts(d) * x.table / _smooth_abs(x.table, h.epsilon)).ravel()
 
 
 def l2_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray:
     "Gradient of the quadratic term: lambda_r2 * |K_e| * x."
     if h.lambda_r2 == 0:
         return np.zeros(x.dim)
-    gu = h.lambda_r2 * d.by_user.counts[:, None] * x.user_factors
-    gs = h.lambda_r2 * d.by_service.counts[:, None] * x.service_factors
-    return pack_blocks(gu, gs)
+    return (h.lambda_r2 * entity_counts(d) * x.table).ravel()
 
 
 def gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray:

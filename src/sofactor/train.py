@@ -28,7 +28,7 @@ import numpy as np
 from .cg import CgResult, cg_solve
 from .curvature import CurvatureContext
 from .data import SplitDataset
-from .model import FactorState, Hyperparams, gradient, init_factors, rmse
+from .model import FactorState, Hyperparams, check_finite_fields, gradient, init_factors, rmse
 
 VALID_OPTIMIZERS = ("DRSLF", "SLF", "SGDM")
 
@@ -48,6 +48,7 @@ class OptimizerKind:
     def __post_init__(self):
         if self.name not in VALID_OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.name!r}, expected one of {VALID_OPTIMIZERS}")
+        check_finite_fields(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
@@ -132,10 +133,12 @@ class BestSnapshot:
         return False
 
 
-def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
+def _sgdm_epoch(users, services, values, order, X, V, num_users,
                 lr, momentum, lam2):
-    """One SGDM pass over ``order``, updating xu, xs, vu and vs in place;
-    both gradients of an observation come from its pre-update rows.
+    """One SGDM pass over ``order``, updating the factor table X and the
+    velocity table V in place; both gradients of an observation come from
+    its pre-update rows. Both tables hold the user rows, then the service
+    rows (service s at row num_users + s), as ``FactorState.table`` does.
 
     The result is bit for bit that of visiting ``order`` one observation
     at a time. The pass is level scheduled: an observation's level is one
@@ -150,11 +153,9 @@ def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
     one user or one service in ``order``; if one entity appears in every
     observation, each level holds a single observation.
 
-    The pass works on stacked tables, factors ``X = [xu; xs]`` and
-    velocities ``V = [vu; vs]`` (service rows offset by the user count),
-    copied in once and back once. One index run is built per epoch, laid
-    out level by level: a level's user rows, then its service rows, so a
-    row's partner sits at the same position in the other half. A level
+    One index run into the tables is built per epoch, laid out level by
+    level: a level's user rows, then its service rows, so a row's
+    partner sits at the same position in the other half. A level
     gathers its factor and velocity rows, updates both halves with the
     scalar loop's elementwise operations in its order, and scatters the
     rows back. The error is one ``np.subtract.reduce`` down a column
@@ -162,12 +163,12 @@ def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
     factor products, so it subtracts left to right as a scalar loop over
     the factor index does.
     """
-    nu, f = xu.shape
+    f = X.shape[1]
     u_seq = users[order]
     s_seq = services[order]
     level = []
-    last_u = [0] * nu
-    last_s = [0] * xs.shape[0]
+    last_u = [0] * num_users
+    last_s = [0] * (X.shape[0] - num_users)
     for u, s in zip(u_seq.tolist(), s_seq.tolist()):
         lu = last_u[u]
         ls = last_s[s]
@@ -185,10 +186,8 @@ def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
     at = np.arange(len(order))
     idx = np.empty(2 * len(order), dtype=np.int64)
     idx[at + ends[level - 1]] = u_seq[by_level]
-    idx[at + ends[level]] = s_seq[by_level] + nu
+    idx[at + ends[level]] = s_seq[by_level] + num_users
 
-    X = np.concatenate((xu, xs))
-    V = np.concatenate((vu, vs))
     terms = np.empty((f + 1, np.diff(ends).max(initial=0)))
     ends = ends.tolist()
     for start, stop in zip(ends[:-1], ends[1:]):
@@ -217,10 +216,6 @@ def _sgdm_epoch(users, services, values, order, xu, xs, vu, vs,
         R += Vr
         V[rows] = Vr
         X[rows] = R
-    xu[...] = X[:nu]
-    xs[...] = X[nu:]
-    vu[...] = V[:nu]
-    vs[...] = V[nu:]
 
 
 def _second_order_epoch(x: FactorState, split: SplitDataset, h: Hyperparams,
@@ -236,17 +231,14 @@ def _second_order_epoch(x: FactorState, split: SplitDataset, h: Hyperparams,
     return result
 
 
-def _sgdm_epoch_run(x: FactorState, vel_user: np.ndarray, vel_service: np.ndarray,
-                    split: SplitDataset, h: Hyperparams, kind: OptimizerKind,
-                    epoch: int) -> int:
+def _sgdm_epoch_run(x: FactorState, velocity: np.ndarray, split: SplitDataset,
+                    h: Hyperparams, kind: OptimizerKind, epoch: int) -> int:
     t = split.train.base
     order = np.random.default_rng((h.seed, epoch)).permutation(len(t)).astype(np.int64)
     # a diverging run overflows here; train's finiteness check names it
     with np.errstate(over="ignore", invalid="ignore"):
-        _sgdm_epoch(t.users, t.services, t.values, order,
-                    x.user_factors, x.service_factors,
-                    vel_user, vel_service,
-                    kind.learning_rate, kind.momentum, h.lambda_r2)
+        _sgdm_epoch(t.users, t.services, t.values, order, x.table, velocity,
+                    x.num_users, kind.learning_rate, kind.momentum, h.lambda_r2)
     return len(t)
 
 
@@ -270,9 +262,7 @@ def train(split: SplitDataset, h: Hyperparams,
     best = BestSnapshot()
     bad_streak = 0
     if kind.name == "SGDM":
-        # velocity buffers, carried across epochs
-        vel_user = np.zeros_like(x.user_factors)
-        vel_service = np.zeros_like(x.service_factors)
+        velocity = np.zeros_like(x.table)  # carried across epochs
     stop_reason = "max_epochs"
     # An epoch's second-order update is a pure function of x, split.train
     # and h, and the factors never hold -0.0: init draws lo + (hi - lo) * u
@@ -285,14 +275,14 @@ def train(split: SplitDataset, h: Hyperparams,
     for epoch in range(1, h.max_epochs + 1):
         started = time.perf_counter()
         if kind.name == "SGDM":
-            inner = _sgdm_epoch_run(x, vel_user, vel_service, split, h, kind, epoch)
+            inner = _sgdm_epoch_run(x, velocity, split, h, kind, epoch)
         elif not zero_step:
             result = _second_order_epoch(x, split, h, epoch)
             inner, zero_step = result.iterations, not result.delta.any()
             del result  # holds no step vector into the next epoch's solve
         wall_ms = (time.perf_counter() - started) * 1e3
 
-        if not (np.isfinite(x.user_factors).all() and np.isfinite(x.service_factors).all()):
+        if not np.isfinite(x.table).all():
             raise RuntimeError(f"epoch {epoch}: factors diverged to non-finite values")
         train_rmse = rmse(x, split.train)
         val_rmse = rmse(x, split.validation)

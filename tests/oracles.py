@@ -5,7 +5,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from sofactor.data import IndexedDataset, RaggedIndex, TripleSet
-from sofactor.model import FactorState, Hyperparams, residuals, split_vector
+from sofactor.model import FactorState, Hyperparams, residuals
 from sofactor.sddmm import sampled_dots
 
 
@@ -72,7 +72,9 @@ def stored_order_damped_hvp(x: FactorState, data: IndexedDataset, h: Hyperparams
     """(G_E + gamma*I) v with J v in stored observation order, and the L1
     product added even when lambda_r1 = 0."""
     t = data.base
-    vu, vs = split_vector(v, x.num_users, x.num_services, x.f)
+    cut = x.num_users * x.f
+    vu = v[:cut].reshape(x.num_users, x.f)
+    vs = v[cut:].reshape(x.num_services, x.f)
     jv = sampled_dots(t.users, t.services,
                       ((vu, x.service_factors), (x.user_factors, vs)))
     out = np.concatenate([_stored_order_sums(data.by_user, jv, x.service_factors).ravel(),

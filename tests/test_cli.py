@@ -267,6 +267,16 @@ def test_bad_split_fractions_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_hyperparameter_errors_cleanly(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    write_synth_file(data)
+    rc = main(["train", "--data", str(data), *FAST, "--tau", "nan"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.err == "error: tau must be finite, got nan\n"
+    assert out.out == ""
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # --data is required

@@ -72,6 +72,14 @@ def test_hyperparams_rejects_bad_values(kw):
         Hyperparams(**kw)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["lambda_r1", "lambda_r2", "epsilon", "gamma", "tau",
+                                  "init_lo", "init_hi"])
+def test_hyperparams_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Hyperparams(**{name: value})
+
+
 def test_hyperparams_defaults_are_valid():
     h = Hyperparams()
     assert h.f == 20 and h.tau == 10.0 and h.cg_max_iters == 10
@@ -98,6 +106,38 @@ def test_factor_state_add_vector():
     assert x.service_factors.tolist() == [[13.0]]
     with pytest.raises(ValueError, match="expected"):
         x.add_vector(np.zeros(4))
+
+
+def test_factor_state_sides_are_views_of_one_table():
+    x = FactorState(f=2, user_factors=np.ones((2, 2)), service_factors=np.full((3, 2), 2.0))
+    assert x.table.shape == (5, 2) and x.table.flags.c_contiguous
+    assert np.shares_memory(x.user_factors, x.table)
+    assert np.shares_memory(x.service_factors, x.table)
+    x.add_vector(np.arange(10.0))
+    assert x.user_factors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert x.service_factors.tolist() == [[6.0, 7.0], [8.0, 9.0], [10.0, 11.0]]
+    np.testing.assert_array_equal(x.table, np.vstack([x.user_factors, x.service_factors]))
+
+
+def test_factor_state_copies_are_independent():
+    x = FactorState(f=1, user_factors=np.array([[1.0]]), service_factors=np.array([[2.0]]))
+    y = x.copy()
+    y.add_vector(np.array([10.0, 10.0]))
+    assert x.table.tolist() == [[1.0], [2.0]]
+    x.user_factors[0, 0] = 5.0
+    assert y.table.tolist() == [[11.0], [12.0]]
+    v = x.as_vector()
+    v[:] = 0.0
+    assert x.table.tolist() == [[5.0], [2.0]]
+
+
+def test_factor_state_as_table():
+    x = FactorState(f=2, user_factors=np.zeros((1, 2)), service_factors=np.zeros((2, 2)))
+    v = np.arange(6.0)
+    np.testing.assert_array_equal(x.as_table(v), v.reshape(3, 2))
+    for bad in (np.zeros(5), np.zeros(7), np.zeros((3, 2))):
+        with pytest.raises(ValueError, match="expected"):
+            x.as_table(bad)
 
 
 def test_factor_state_rejects_bad_shapes_and_nan():

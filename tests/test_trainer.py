@@ -52,6 +52,13 @@ def test_optimizer_kind_validation():
     assert OptimizerKind.slf().name == "SLF"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["learning_rate", "momentum"])
+def test_optimizer_kind_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        OptimizerKind.sgdm(**{name: value})
+
+
 # --------------------------------------------------------------- determinism
 
 @pytest.mark.parametrize("kind", [OptimizerKind.drslf(),
@@ -171,16 +178,19 @@ def sgdm_kernel_case(case):
 @pytest.mark.parametrize("case", ["mixed", "one_user", "one_service", "empty",
                                   "single", "momentum_zero", "wide", "lam2_zero"])
 def test_sgdm_kernel_matches_scalar_reference(case):
-    # the level-scheduled kernel must equal the scalar loop bit for bit
-    # on all four arrays it updates
+    # the level-scheduled kernel, on stacked user-then-service tables,
+    # must equal the scalar loop bit for bit on all four row ranges it
+    # updates
     users, services, values, orders, xu0, xs0, momentum, lam2 = sgdm_kernel_case(case)
     args = (users, services, values)
     want = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
     sgdm_scalar_reference(*args, orders, *want, 0.03, momentum, lam2)
-    got = [xu0.copy(), xs0.copy(), np.zeros_like(xu0), np.zeros_like(xs0)]
+    nu = len(xu0)
+    X = np.concatenate((xu0, xs0))
+    V = np.zeros_like(X)
     for order in orders:
-        _sgdm_epoch(*args, order, *got, 0.03, momentum, lam2)
-    for g, w in zip(got, want):
+        _sgdm_epoch(*args, order, X, V, nu, 0.03, momentum, lam2)
+    for g, w in zip([X[:nu], X[nu:], V[:nu], V[nu:]], want):
         np.testing.assert_array_equal(g, w)
 
 
