@@ -207,8 +207,11 @@ def run_benchmark(data: TripleSet,
         raise ValueError("duplicate model in request")
     if len(set(label for label, _, _ in configs)) != len(configs):
         raise ValueError("duplicate dataset label in request")
-    for _, train_frac, val_frac in configs:
-        check_fractions(train_frac, val_frac)
+    for label, train_frac, val_frac in configs:
+        try:
+            check_fractions(train_frac, val_frac)
+        except ValueError as exc:
+            raise ValueError(f"dataset config {label!r}: {exc}") from None
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seed in request")
     if not isinstance(h, Hyperparams):

@@ -177,7 +177,10 @@ def cmd_bench(args) -> int:
             if len(parts) != 3:
                 raise ValueError(
                     f"unknown dataset config {token!r} (use d1, d2 or label:train_frac:val_frac)")
-            configs.append((parts[0], float(parts[1]), float(parts[2])))
+            try:
+                configs.append((parts[0], float(parts[1]), float(parts[2])))
+            except ValueError as exc:
+                raise ValueError(f"dataset config {parts[0]!r}: {exc}") from None
     models = [_make_kind(_parse_model(m), args) for m in args.models]
     h = _from_args(Hyperparams, args)
     table = bench_mod.run_benchmark(t, configs, list(args.seeds), models, h,

@@ -30,11 +30,17 @@ from itertools import islice
 import numpy as np
 import scipy.sparse as sp
 
-from .sddmm import sampled_dots
+from . import sddmm
+from .sddmm import run_spans, sampled_dots
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _TRIPLE = np.dtype([("u", "i8"), ("s", "i8"), ("v", "f8")])
 _ID = re.compile(r"[+-]?[0-9]+")
+# RaggedIndex.weighted_sums splits its groups above SPLIT_NNZ observations,
+# into chunks small enough that the products of one chunk per worker,
+# in flight at once, hold about IN_FLIGHT_BYTES beside the output
+SPLIT_NNZ = 1 << 18
+IN_FLIGHT_BYTES = 1 << 20
 
 
 # The array-holding types here (and FactorState, CgResult) are declared
@@ -148,10 +154,32 @@ class RaggedIndex:
         weights holds one entry per observation in this index's group
         order, the order of ``order`` (entry p belongs to observation
         ``order[p]``); rows has one row per id of the other entity.
+
+        Above SPLIT_NNZ observations the groups are split into chunks of
+        about equal observation count, each summed as its own CSR matrix
+        over views of this index, on the thread pool of ``sddmm``; each
+        group's sum is the same whatever chunk holds it.
         """
-        m = sp.csr_matrix((np.asarray(weights, dtype=np.float64),
-                           self.indices, self.indptr), shape=self.shape)
-        return m @ rows
+        indptr = self.indptr
+        nnz = int(indptr[-1])
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (nnz,):
+            raise ValueError(f"{weights.shape} weights for {nnz} observations")
+        rows = np.ascontiguousarray(rows)  # each chunk's product reads it flat
+        out = np.empty((self.shape[0],) + rows.shape[1:])
+
+        def chunk(lo, hi):
+            a, b = indptr[lo], indptr[hi]
+            m = sp.csr_matrix((weights[a:b], self.indices[a:b], indptr[lo:hi + 1] - a),
+                              shape=(hi - lo, self.shape[1]))
+            out[lo:hi] = m @ rows
+
+        parts = 1
+        if nnz > SPLIT_NNZ:
+            parts = max(sddmm.WORKERS, -(-sddmm.WORKERS * out.nbytes // IN_FLIGHT_BYTES))
+        starts = np.searchsorted(indptr, [nnz * i // parts for i in range(parts)])
+        run_spans(chunk, np.unique(np.append(starts, self.shape[0])))
+        return out
 
 
 @dataclass(frozen=True, eq=False)

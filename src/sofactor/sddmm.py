@@ -7,15 +7,87 @@ than cache. Walking the observations in blocks of BLOCK_ROWS keeps each
 block's gathered rows cache-resident, and each block applies the same
 row-wise einsum as the unblocked form, so the output is bitwise
 identical to it.
+
+Large calls split their output into contiguous spans that run on one
+per-process pool of WORKERS threads, one per CPU this process may run
+on (``run_spans``; ``RaggedIndex.weighted_sums`` uses it too). numpy's
+``take`` and ``einsum`` and scipy's sparse products release the GIL, so
+the spans run at once. Every output element goes through the same
+operations whichever span holds it, so no byte depends on the worker
+count.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 # Two gathered (2048, 20) float64 blocks take 650 kB; measured on a
 # 2-vCPU Xeon with 2 MB L2 per core, 2048 rows beat 1k and 4k-64k rows.
 BLOCK_ROWS = 2048
+# sampled_dots gives each span at least this many blocks, so that a span
+# outweighs the hand-off to a pool thread (tens of microseconds)
+MIN_SPAN_BLOCKS = 4
+
+
+def _cpus() -> int:
+    "The CPUs this process may run on."
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+WORKERS = _cpus()
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child: its threads were not copied,
+    so work handed to it would never run."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    "The process's pool, started on first use."
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="sofactor")
+        return _pool
+
+
+def run_spans(fn, bounds) -> None:
+    """fn(lo, hi) for each pair of neighbouring entries of bounds.
+
+    With one span, or one worker, the spans run inline, in order, and no
+    pool is started. Otherwise they run on the pool, and this returns,
+    or raises the first failed span's error, only once every span has
+    finished, so no span still writes to the caller's arrays.
+    """
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    if len(spans) <= 1 or WORKERS == 1:
+        for lo, hi in spans:
+            fn(lo, hi)
+        return
+    futures = []
+    try:
+        pool = _executor()
+        for lo, hi in spans:
+            futures.append(pool.submit(fn, lo, hi))
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
 
 
 def sampled_dots(rows: np.ndarray, cols: np.ndarray, pairs, out=None) -> np.ndarray:
@@ -30,13 +102,20 @@ def sampled_dots(rows: np.ndarray, cols: np.ndarray, pairs, out=None) -> np.ndar
     if out is None:
         out = np.empty(n)
     (a0, b0), *rest = pairs
-    for lo in range(0, n, BLOCK_ROWS):
-        r = rows[lo:lo + BLOCK_ROWS]
-        c = cols[lo:lo + BLOCK_ROWS]
-        o = out[lo:lo + BLOCK_ROWS]
-        # take() without out=: given out=, the default mode="raise"
-        # buffers the whole result; mode="raise" keeps a bad id an error
-        np.einsum("ij,ij->i", a0.take(r, axis=0), b0.take(c, axis=0), out=o)
-        for a, b in rest:
-            o += np.einsum("ij,ij->i", a.take(r, axis=0), b.take(c, axis=0))
+
+    def span(lo, hi):
+        for start in range(lo, hi, BLOCK_ROWS):
+            r = rows[start:start + BLOCK_ROWS]
+            c = cols[start:start + BLOCK_ROWS]
+            o = out[start:start + BLOCK_ROWS]
+            # take() without out=: given out=, the default mode="raise"
+            # buffers the whole result; mode="raise" keeps a bad id an error
+            np.einsum("ij,ij->i", a0.take(r, axis=0), b0.take(c, axis=0), out=o)
+            for a, b in rest:
+                o += np.einsum("ij,ij->i", a.take(r, axis=0), b.take(c, axis=0))
+
+    # spans of whole blocks: every block is the one a serial walk makes
+    blocks = -(-n // BLOCK_ROWS)
+    parts = max(1, min(WORKERS, blocks // MIN_SPAN_BLOCKS))
+    run_spans(span, [min(n, blocks * i // parts * BLOCK_ROWS) for i in range(parts + 1)])
     return out

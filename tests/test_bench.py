@@ -258,10 +258,10 @@ def test_run_benchmark_validates_request(monkeypatch):
     with pytest.raises(ValueError, match="duplicate seed"):
         run_benchmark(t, [("a", 0.6, 0.2)], [0, 1, 0], [OptimizerKind.slf()], fast_h())
     # the second config's fractions are refused before the first one trains
-    with pytest.raises(ValueError, match="must not exceed 1"):
+    with pytest.raises(ValueError, match="^dataset config 'bad': .*must not exceed 1"):
         run_benchmark(t, [("a", 0.6, 0.2), ("bad", 0.9, 0.5)], [0],
                       [OptimizerKind.slf()], fast_h())
-    with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
+    with pytest.raises(ValueError, match=r"^dataset config 'bad': .*lie in \(0, 1\)"):
         run_benchmark(t, [("a", 0.6, 0.2), ("bad", 0.0, 0.5)], [0],
                       [OptimizerKind.slf()], fast_h())
     # the mapping lacks DRSLF, which runs after SGDM in presentation order

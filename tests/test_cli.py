@@ -1,8 +1,17 @@
 """Command line behaviour, exercised in-process through main(argv)."""
 
 import dataclasses
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sofactor
+from sofactor import data as data_mod
 
 from sofactor.bench import GridSpec, run_benchmark
 from sofactor.cli import _from_args, _make_kind, build_parser, main, resolve_data_path
@@ -224,6 +233,56 @@ def test_bench_named_dataset_configs(tmp_path, capsys):
         ["d1", "SLF", "seed=0"], ["d2", "SLF", "seed=0"]]
 
 
+# Runs sofactor train for each model in a fresh interpreter; argv[1] is
+# "one" to pin the process to one CPU before sofactor starts its pool,
+# argv[2] the JSON list of argument lists. Prints the worker count first.
+_TRAIN_CHILD = """
+import contextlib, io, json, os, sys
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from sofactor import sddmm
+from sofactor.cli import main
+print(sddmm.WORKERS)
+for argv in json.loads(sys.argv[2]):
+    assert main(argv) == 0
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_train_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # 288k train observations: above SPLIT_NNZ, so with two or more CPUs
+    # both kernels split their work across the pool
+    t, _ = synth_lowrank(400, 1000, rank=3, density=0.9, noise_sigma=0.05,
+                         seed=0, init_lo=0.2, init_hi=1.0)
+    data = tmp_path / "d.txt"
+    write_triples(data, t)
+    assert math.floor(len(t) * 0.8) > data_mod.SPLIT_NNZ
+    # one BLAS thread in both: OpenBLAS sizes its own threads from the
+    # affinity mask, and splits long dot products in an order that
+    # depends on their count (ROADMAP item 3)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(sofactor.__file__).parent.parent),
+                                           os.environ.get("PYTHONPATH", "")]))
+    outputs = {}
+    for cpus in ("one", "all"):
+        runs = [["train", "--data", str(data), "--model", model, "--f", "4",
+                 "--max-epochs", "2", "--train-frac", "0.8", "--val-frac", "0.1",
+                 "--learning-rate", "0.001",
+                 "--out", str(tmp_path / f"{cpus}-{model}.csv"),
+                 "--save-factors", str(tmp_path / f"{cpus}-{model}.npz")]
+                for model in ("m1", "m2", "m3")]
+        done = subprocess.run([sys.executable, "-c", _TRAIN_CHILD, cpus, json.dumps(runs)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        workers, stdout = done.stdout.split("\n", 1)
+        files = [(tmp_path / f"{cpus}-{m}.{ext}").read_bytes()
+                 for m in ("m1", "m2", "m3") for ext in ("csv", "npz")]
+        outputs[cpus] = stdout, files
+        want = 1 if cpus == "one" else len(os.sched_getaffinity(0))
+        assert int(workers) == want
+    assert outputs["one"] == outputs["all"]
+
+
 # -------------------------------------------------------------------- errors
 
 def test_bench_malformed_dataset_config_errors_cleanly(tmp_path, capsys):
@@ -233,6 +292,15 @@ def test_bench_malformed_dataset_config_errors_cleanly(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == (
         "error: unknown dataset config 'tiny:0.6' (use d1, d2 or label:train_frac:val_frac)\n")
+
+
+def test_bench_non_numeric_fraction_names_its_config(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    write_synth_file(data)
+    rc = main(["bench", "--data", str(data), "--datasets", "d1,bad:x:0.2"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: dataset config 'bad': could not convert string to float: 'x'\n")
 
 
 def test_missing_file_errors_cleanly(tmp_path, capsys):

@@ -12,6 +12,7 @@ import pytest
 import scipy.sparse as sparse
 from hypothesis import given, strategies as st
 
+from sofactor import data as data_mod, sddmm
 from sofactor.cg import cg_solve
 from sofactor.data import (
     IndexedDataset,
@@ -27,6 +28,7 @@ from sofactor.data import (
     write_triples,
 )
 from sofactor.model import Hyperparams, init_factors
+from sofactor.sddmm import run_spans
 
 from oracles import write_dense_matrix
 
@@ -556,6 +558,73 @@ def test_cached_scatter_structure_matches_fresh_csr_build():
     second = (d.user_weighted_sums(um2, svc_rows), d.service_weighted_sums(um2, usr_rows))
     for got, want in zip(first + second, fresh(w1) + fresh(w2)):
         assert np.array_equal(got, want)
+
+
+def serial_sums(index, w, rows):
+    "The weighted sums as one CSR product over the whole index."
+    return sparse.csr_matrix((w, index.indices, index.indptr), shape=index.shape) @ rows
+
+
+@pytest.fixture
+def chunks_run(monkeypatch):
+    "The chunk count of each run_spans call that the weighted sums make."
+    counts = []
+
+    def counted(fn, bounds):
+        counts.append(len(bounds) - 1)
+        return run_spans(fn, bounds)
+
+    monkeypatch.setattr(data_mod, "run_spans", counted)
+    return counts
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_weighted_sums_at_any_worker_count_give_the_serial_bytes(
+        extra, workers, monkeypatch, chunks_run):
+    # nnz just below, at and just above SPLIT_NNZ; groups 0, 1 and the
+    # last two are empty
+    nnz = data_mod.SPLIT_NNZ + extra
+    nu, ns, f = 3000, 700, 3
+    rng = np.random.default_rng(nnz)
+    ids = rng.integers(2, nu - 2, nnz)
+    index = _grouped(ids, rng.integers(0, ns, nnz), (nu, ns))
+    w = rng.standard_normal(nnz)
+    rows = rng.standard_normal((ns, f))
+    want = serial_sums(index, w, rows)
+    assert not want[[0, 1, -2, -1]].any()
+
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    assert np.array_equal(index.weighted_sums(w, rows), want)
+    # out.nbytes is far below IN_FLIGHT_BYTES: one chunk per worker
+    assert chunks_run == [workers if nnz > data_mod.SPLIT_NNZ else 1]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_weighted_sums_in_many_chunks_and_one_dominant_group(workers, monkeypatch, chunks_run):
+    # group 3 holds 60% of the observations, so chunks of equal nnz meet
+    # inside it and merge; small chunks make several per worker
+    nnz = data_mod.SPLIT_NNZ + 1000
+    nu, ns, f = 500, 300, 4
+    rng = np.random.default_rng(11)
+    ids = rng.integers(0, nu, nnz)
+    ids[rng.random(nnz) < 0.6] = 3
+    index = _grouped(ids, rng.integers(0, ns, nnz), (nu, ns))
+    w = rng.standard_normal(nnz)
+    rows = rng.standard_normal((ns, f))
+    want = serial_sums(index, w, rows)
+
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    monkeypatch.setattr(data_mod, "IN_FLIGHT_BYTES", 1024)
+    assert np.array_equal(index.weighted_sums(w, rows), want)
+    parts = -(-workers * nu * f * 8 // 1024)
+    assert 1 < chunks_run[0] < parts  # the chunks inside group 3 merged
+
+
+def test_weighted_sums_reject_weights_of_another_length():
+    index = build_index(small_set()).by_user
+    with pytest.raises(ValueError, match="weights for 6 observations"):
+        index.weighted_sums(np.ones(7), np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------- split
