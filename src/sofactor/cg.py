@@ -71,12 +71,15 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         return CgResult(delta=delta, iterations=0,
                         final_residual_inf=r_inf, converged=True)
 
-    best_delta = delta.copy()
+    best_delta = np.zeros_like(r)
     best_inf = r_inf
     p = r.copy()
+    # scratch for alpha * p, alpha * A p and |r| in turn, allocated after
+    # the first product so that it is not live inside it
+    step = None
     rs = float(r @ r)
     iterations = 0
-    for _ in range(max_iters):
+    while True:
         ap = apply_a(p)
         if not np.isfinite(ap).all():
             raise NonFiniteOperatorError(
@@ -86,20 +89,25 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
             raise IndefiniteOperatorError(
                 f"<p, A p> = {pap!r} at iteration {iterations + 1}")
         alpha = rs / pap
-        delta += alpha * p
-        r -= alpha * ap
+        step = np.multiply(alpha, p, out=step)
+        delta += step
+        r -= np.multiply(alpha, ap, out=step)
         iterations += 1
         if not np.isfinite(r).all():
             raise NonFiniteOperatorError(
                 f"residual non-finite at iteration {iterations}")
-        r_inf = float(np.abs(r).max())
+        r_inf = float(np.abs(r, out=step).max())
+        last = r_inf <= tau or iterations == max_iters
         if r_inf < best_inf:
             best_inf = r_inf
-            best_delta = delta.copy()
-        if r_inf <= tau:
+            # no later iteration moves the last iterate: it needs no copy
+            best_delta = delta if last else delta.copy()
+        if last:
             break
+        # r + beta * p, formed in p: the same product, and a sum that commutes
         rs_next = float(r @ r)
-        p = r + (rs_next / rs) * p
+        p *= rs_next / rs
+        p += r
         rs = rs_next
 
     return CgResult(delta=best_delta, iterations=iterations,

@@ -147,30 +147,42 @@ class RaggedIndex:
         "Observations per group, as int64 whatever scipy's index dtype."
         return np.diff(self.indptr).astype(np.int64)
 
-    def weighted_sums(self, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def weighted_sums(self, weights: np.ndarray, rows: np.ndarray,
+                      positions=None, out=None) -> np.ndarray:
         """out[i] = sum over the observations k of group i of
         weights[k] * rows[j_k], where j_k is the other entity's id of k.
 
         weights holds one entry per observation in this index's group
         order, the order of ``order`` (entry p belongs to observation
-        ``order[p]``); rows has one row per id of the other entity.
+        ``order[p]``); rows has one row per id of the other entity. With
+        ``positions``, one entry per observation, weights is in another
+        order and entry p is ``weights[positions[p]]`` instead. out, if
+        given, receives the sums and is returned.
 
         Above SPLIT_NNZ observations the groups are split into chunks of
         about equal observation count, each summed as its own CSR matrix
         over views of this index, on the thread pool of ``sddmm``; each
-        group's sum is the same whatever chunk holds it.
+        group's sum is the same whatever chunk holds it. Each chunk
+        gathers its own weights through ``positions``.
         """
         indptr = self.indptr
         nnz = int(indptr[-1])
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (nnz,):
             raise ValueError(f"{weights.shape} weights for {nnz} observations")
+        if positions is not None and positions.shape != (nnz,):
+            raise ValueError(f"{positions.shape} positions for {nnz} observations")
         rows = np.ascontiguousarray(rows)  # each chunk's product reads it flat
-        out = np.empty((self.shape[0],) + rows.shape[1:])
+        shape = (self.shape[0],) + rows.shape[1:]
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ValueError(f"out has shape {out.shape}, expected {shape}")
 
         def chunk(lo, hi):
             a, b = indptr[lo], indptr[hi]
-            m = sp.csr_matrix((weights[a:b], self.indices[a:b], indptr[lo:hi + 1] - a),
+            w = weights[a:b] if positions is None else weights.take(positions[a:b])
+            m = sp.csr_matrix((w, self.indices[a:b], indptr[lo:hi + 1] - a),
                               shape=(hi - lo, self.shape[1]))
             out[lo:hi] = m @ rows
 
@@ -188,14 +200,16 @@ class UserMajorOrder:
 
     Position p holds observation ``by_user.order[p]`` of its dataset:
     observations grouped by user, in stored order inside each user.
-    ``users`` and ``services`` give the ids at each position, and
-    ``to_service`` maps the positions onto ``by_service``'s group order
-    (``w[to_service]`` is w in that order). All three are in the CSR
-    index dtype of the dataset's groupings.
+    ``users``, ``services`` and ``values`` give the ids and the observed
+    value at each position, and ``to_service`` maps the positions onto
+    ``by_service``'s group order (``w[to_service]`` is w in that order).
+    The ids and the map are in the CSR index dtype of the dataset's
+    groupings.
     """
 
     users: np.ndarray
     services: np.ndarray
+    values: np.ndarray
     to_service: np.ndarray
 
 
@@ -240,29 +254,57 @@ class IndexedDataset:
 
     @cached_property
     def user_major(self) -> UserMajorOrder:
-        "The user-major work order, built on first use and then cached."
-        indptr = self.by_user.indptr
+        """The user-major work order, built on first use and then cached.
+
+        Above SPLIT_NNZ observations its gathers and its position scatter
+        run in spans on the thread pool of ``sddmm``: ``by_user.order``
+        is a permutation, so each span writes entries no other span does.
+        """
+        by_user, by_service = self.by_user, self.by_service
+        indptr = by_user.indptr
         dtype = indptr.dtype  # holds len(self), so every position fits
-        position = np.empty(len(self), dtype=dtype)
-        position[self.by_user.order] = np.arange(len(self), dtype=dtype)
+        n = len(self)
+        arange = np.arange(n, dtype=dtype)
+        position = np.empty(n, dtype=dtype)  # of each observation in user-major order
+        values = np.empty(n)
+        to_service = np.empty(n, dtype=dtype)
+        # both orders are permutations of range(n), so mode="clip" never
+        # clips; it lets take() write into out= without a buffer, which a
+        # worker thread's malloc arena would keep
+
+        def scatter(lo, hi):
+            order = by_user.order[lo:hi]
+            position[order] = arange[lo:hi]
+            np.take(self.base.values, order, out=values[lo:hi], mode="clip")
+
+        def gather(lo, hi):
+            np.take(position, by_service.order[lo:hi], out=to_service[lo:hi], mode="clip")
+
+        parts = sddmm.WORKERS if n > SPLIT_NNZ else 1
+        bounds = [n * i // parts for i in range(parts + 1)]
+        run_spans(scatter, bounds)
+        run_spans(gather, bounds)
         return UserMajorOrder(
             users=np.repeat(np.arange(len(indptr) - 1, dtype=dtype), np.diff(indptr)),
-            services=self.by_user.indices,
-            to_service=position[self.by_service.order])
+            services=by_user.indices, values=values, to_service=to_service)
 
-    def user_weighted_sums(self, weights: np.ndarray, service_rows: np.ndarray) -> np.ndarray:
+    def user_weighted_sums(self, weights: np.ndarray, service_rows: np.ndarray,
+                           out=None) -> np.ndarray:
         """out[u] = sum over k in K_u of weights[k] * service_rows[service_k].
 
         weights is per-observation (len |K|) in user-major order;
-        service_rows is (num_services, f).
+        service_rows is (num_services, f). out, if given, receives the
+        sums and is returned.
         """
-        return self.by_user.weighted_sums(weights, service_rows)
+        return self.by_user.weighted_sums(weights, service_rows, out=out)
 
-    def service_weighted_sums(self, weights: np.ndarray, user_rows: np.ndarray) -> np.ndarray:
+    def service_weighted_sums(self, weights: np.ndarray, user_rows: np.ndarray,
+                              out=None) -> np.ndarray:
         """out[s] = sum over k in K_s of weights[k] * user_rows[user_k],
-        with weights in user-major order."""
-        weights = np.asarray(weights, dtype=np.float64)
-        return self.by_service.weighted_sums(weights[self.user_major.to_service], user_rows)
+        with weights in user-major order; each chunk of the sum gathers
+        its own weights through ``user_major.to_service``."""
+        return self.by_service.weighted_sums(weights, user_rows,
+                                             positions=self.user_major.to_service, out=out)
 
 
 @dataclass(frozen=True, eq=False)

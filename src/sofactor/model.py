@@ -168,8 +168,9 @@ def predict_observed(x: FactorState, t: TripleSet) -> np.ndarray:
 
 
 def residuals(x: FactorState, t: TripleSet) -> np.ndarray:
-    "q - yhat per observation."
-    return t.values - predict_observed(x, t)
+    "q - yhat per observation, subtracted in place into the predictions."
+    r = predict_observed(x, t)
+    return np.subtract(t.values, r, out=r)
 
 
 def loss_data(x: FactorState, d: IndexedDataset) -> float:
@@ -216,18 +217,25 @@ def jacobian_transpose_vector(x: FactorState, d: IndexedDataset,
                               w: np.ndarray) -> np.ndarray:
     """J^T w for w with one entry per observation in d's user-major order:
     user u gets the sum over K_u of w * x_s, service s the sum over K_s
-    of w * x_u."""
-    wu = d.user_weighted_sums(w, x.service_factors)
-    ws = d.service_weighted_sums(w, x.user_factors)
-    return np.concatenate((wu, ws)).ravel()
+    of w * x_u. Both sums write into one table in the layout of x.table."""
+    out = np.empty_like(x.table)
+    d.user_weighted_sums(w, x.service_factors, out=out[:x.num_users])
+    d.service_weighted_sums(w, x.user_factors, out=out[x.num_users:])
+    return out.ravel()
 
 
 def data_gradient(x: FactorState, d: IndexedDataset) -> np.ndarray:
     """Gradient of the half-SSE term: J^T (-(q - yhat)), with the
-    residuals computed in d's user-major order, the order J^T w takes."""
+    residuals computed in d's user-major order, the order J^T w takes.
+
+    The negated residuals are formed in the prediction buffer as
+    q - yhat, then negated: yhat - q would give +0.0 where this gives
+    -0.0.
+    """
     um = d.user_major
-    yhat = sampled_dots(um.users, um.services, ((x.user_factors, x.service_factors),))
-    neg_r = -(d.base.values[d.by_user.order] - yhat)
+    neg_r = sampled_dots(um.users, um.services, ((x.user_factors, x.service_factors),))
+    np.subtract(um.values, neg_r, out=neg_r)
+    np.negative(neg_r, out=neg_r)
     return jacobian_transpose_vector(x, d, neg_r)
 
 

@@ -210,3 +210,61 @@ def test_result_is_frozen():
     assert isinstance(res, CgResult)
     with pytest.raises(AttributeError):
         res.iterations = 99
+
+
+def frozen_cg_solve(apply_a, g, tau, max_iters):
+    """The solve loop as it stood before its bookkeeping was trimmed: a
+    direction update and r @ r after every iteration, a copy of every
+    improving iterate, and a temporary for each update. Returns the best
+    iterate, the iteration count, its residual max-norm, and the last
+    iterate."""
+    r = -g
+    delta = np.zeros_like(r)
+    r_inf = float(np.abs(r).max())
+    if r_inf <= tau:
+        return delta, 0, r_inf, delta
+    best_delta = delta.copy()
+    best_inf = r_inf
+    p = r.copy()
+    rs = float(r @ r)
+    iterations = 0
+    for _ in range(max_iters):
+        ap = apply_a(p)
+        alpha = rs / float(p @ ap)
+        delta += alpha * p
+        r -= alpha * ap
+        iterations += 1
+        r_inf = float(np.abs(r).max())
+        if r_inf < best_inf:
+            best_inf = r_inf
+            best_delta = delta.copy()
+        if r_inf <= tau:
+            break
+        rs_next = float(r @ r)
+        p = r + (rs_next / rs) * p
+        rs = rs_next
+    return best_delta, iterations, best_inf, delta
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 10])
+@pytest.mark.parametrize("decades, seed, tau", [
+    (1, 2, 1e-30),  # at 10 iterations the best iterate is the 9th
+    (1, 6, 1e-30),  # at 10 iterations the best iterate is the 8th
+    (1, 2, 1.0),    # stops on tau at iteration 5
+    (2, 0, 1e-30),  # no iterate improves on delta = 0
+])
+def test_solve_gives_the_bytes_of_the_frozen_loop(decades, seed, tau, max_iters):
+    rng = np.random.default_rng(seed)
+    n = 30
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = u @ np.diag(np.logspace(-decades, decades, n)) @ u.T
+    a = (a + a.T) / 2
+    g = rng.standard_normal(n)
+    res = cg_solve(lambda p: a @ p, g, tau=tau, max_iters=max_iters)
+    delta, iterations, best_inf, last = frozen_cg_solve(lambda p: a @ p, g, tau, max_iters)
+    assert res.delta.tobytes() == delta.tobytes()
+    assert (res.iterations, res.final_residual_inf) == (iterations, best_inf)
+    assert res.converged == (best_inf <= tau)
+    if decades == 1 and tau < 1 and max_iters == 10:
+        # the cases named above: an earlier, nonzero iterate is the best
+        assert res.delta.any() and not np.array_equal(res.delta, last)

@@ -263,20 +263,24 @@ def test_train_bytes_do_not_depend_on_the_cpu_count(tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(sofactor.__file__).parent.parent),
                                            os.environ.get("PYTHONPATH", "")]))
+    # m3 at paper defaults takes zero steps; "m3-step" takes useful
+    # steps of several CG iterations each
+    models = {"m1": ["--model", "m1"], "m2": ["--model", "m2"], "m3": ["--model", "m3"],
+              "m3-step": ["--model", "m3", "--lambda-r1", "0.001", "--tau", "1"]}
     outputs = {}
     for cpus in ("one", "all"):
-        runs = [["train", "--data", str(data), "--model", model, "--f", "4",
+        runs = [["train", "--data", str(data), *args, "--f", "4",
                  "--max-epochs", "2", "--train-frac", "0.8", "--val-frac", "0.1",
                  "--learning-rate", "0.001",
-                 "--out", str(tmp_path / f"{cpus}-{model}.csv"),
-                 "--save-factors", str(tmp_path / f"{cpus}-{model}.npz")]
-                for model in ("m1", "m2", "m3")]
+                 "--out", str(tmp_path / f"{cpus}-{name}.csv"),
+                 "--save-factors", str(tmp_path / f"{cpus}-{name}.npz")]
+                for name, args in models.items()]
         done = subprocess.run([sys.executable, "-c", _TRAIN_CHILD, cpus, json.dumps(runs)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         workers, stdout = done.stdout.split("\n", 1)
-        files = [(tmp_path / f"{cpus}-{m}.{ext}").read_bytes()
-                 for m in ("m1", "m2", "m3") for ext in ("csv", "npz")]
+        files = [(tmp_path / f"{cpus}-{name}.{ext}").read_bytes()
+                 for name in models for ext in ("csv", "npz")]
         outputs[cpus] = stdout, files
         want = 1 if cpus == "one" else len(os.sched_getaffinity(0))
         assert int(workers) == want

@@ -627,6 +627,61 @@ def test_weighted_sums_reject_weights_of_another_length():
         index.weighted_sums(np.ones(7), np.ones((3, 2)))
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_weighted_sums_gather_their_weights_per_chunk(extra, workers, monkeypatch, chunks_run):
+    # each chunk takes weights[positions[a:b]]: the bytes of gathering
+    # all the weights first, at nnz just below, at and just above
+    # SPLIT_NNZ, in many small chunks above it
+    nnz = data_mod.SPLIT_NNZ + extra
+    nu, ns, f = 3000, 700, 3
+    rng = np.random.default_rng(nnz + 7)
+    index = _grouped(rng.integers(0, nu, nnz), rng.integers(0, ns, nnz), (nu, ns))
+    w = rng.standard_normal(nnz)
+    w[::5] = -0.0
+    positions = rng.permutation(nnz).astype(index.indptr.dtype)
+    rows = rng.standard_normal((ns, f))
+    want = serial_sums(index, w[positions], rows)
+
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    monkeypatch.setattr(data_mod, "IN_FLIGHT_BYTES", 4096)
+    out = np.empty((nu, f))
+    got = index.weighted_sums(w, rows, positions=positions, out=out)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+    assert chunks_run[0] > 2 * workers if nnz > data_mod.SPLIT_NNZ else chunks_run == [1]
+
+
+def test_weighted_sums_reject_positions_and_out_of_another_shape():
+    index = build_index(small_set()).by_user
+    with pytest.raises(ValueError, match="positions for 6 observations"):
+        index.weighted_sums(np.ones(6), np.ones((3, 2)), positions=np.arange(5))
+    with pytest.raises(ValueError, match=r"out has shape \(4, 3\), expected \(4, 2\)"):
+        index.weighted_sums(np.ones(6), np.ones((3, 2)), out=np.empty((4, 3)))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_user_major_view_built_in_spans_gives_its_serial_definition(
+        extra, workers, monkeypatch):
+    # the scatter and the gathers of the view run in spans above SPLIT_NNZ
+    n = data_mod.SPLIT_NNZ + extra
+    nu, ns = 3000, 700
+    rng = np.random.default_rng(n)
+    cells = rng.choice(nu * ns, size=n, replace=False)
+    t = TripleSet(nu, ns, cells // ns, cells % ns, rng.standard_normal(n))
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    d = build_index(t)
+    um = d.user_major
+    position = np.empty(n, dtype=np.int64)
+    position[d.by_user.order] = np.arange(n)
+    assert um.values.dtype == np.float64
+    assert um.values.tobytes() == t.values[d.by_user.order].tobytes()
+    assert um.to_service.dtype == d.by_user.indptr.dtype
+    assert np.array_equal(um.to_service, position[d.by_service.order])
+    assert np.array_equal(um.users, t.users[d.by_user.order])
+
+
 # ---------------------------------------------------------------- split
 
 def test_split_sizes_follow_floor_rule():

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from sofactor import data as data_mod, model as model_mod, sddmm
 from sofactor.data import TripleSet, build_index, synth_lowrank
 from sofactor.model import (
     FactorState,
@@ -17,12 +18,14 @@ from sofactor.model import (
     data_gradient,
     gradient,
     init_factors,
+    jacobian_transpose_vector,
     l1_gradient,
     l2_gradient,
     load_factors,
     loss_data,
     objective,
     predict_observed,
+    residuals,
     rmse,
     save_factors,
 )
@@ -251,6 +254,18 @@ def test_rmse_identity_with_data_loss():
     assert rmse(x, d) ** 2 * len(d) == pytest.approx(2 * loss_data(x, d), rel=1e-12)
 
 
+def test_residuals_rmse_and_loss_keep_their_formulas_and_the_values():
+    rng = np.random.default_rng(13)
+    d, x = random_problem(rng)
+    t = d.base
+    values = t.values.copy()
+    r = t.values - predict_observed(x, t)
+    assert residuals(x, t).tobytes() == r.tobytes()
+    assert rmse(x, d) == math.sqrt(float(r @ r) / len(d))
+    assert loss_data(x, d) == 0.5 * float(r @ r)
+    assert t.values.tobytes() == values.tobytes()
+
+
 def test_rmse_empty_set_rejected():
     t = TripleSet(2, 2, np.array([], int), np.array([], int), np.array([]))
     x = FactorState(f=1, user_factors=np.zeros((2, 1)), service_factors=np.zeros((2, 1)))
@@ -282,6 +297,52 @@ def test_gradient_component_split():
     np.testing.assert_array_equal(total, parts)
     h0 = Hyperparams(f=x.f, lambda_r1=0.0, lambda_r2=0.0)
     np.testing.assert_array_equal(gradient(x, d, h0), data_gradient(x, d))
+
+
+def large_problem(rng, f=3):
+    "Train set just above SPLIT_NNZ, so every observation pass splits."
+    nu, ns, n = 3000, 700, data_mod.SPLIT_NNZ + 1
+    cells = rng.choice(nu * ns, size=n, replace=False)
+    t = TripleSet(nu, ns, cells // ns, cells % ns, rng.uniform(0, 3, n))
+    x = FactorState(f=f, user_factors=rng.uniform(-1, 1, (nu, f)),
+                    service_factors=rng.uniform(-1, 1, (ns, f)))
+    return build_index(t), x
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_jacobian_transpose_vector_is_the_two_sums_stacked(workers, monkeypatch):
+    rng = np.random.default_rng(41)
+    d, x = large_problem(rng)
+    w = rng.standard_normal(len(d))
+    want = np.concatenate((d.user_weighted_sums(w, x.service_factors),
+                           d.service_weighted_sums(w, x.user_factors))).ravel()
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    assert jacobian_transpose_vector(x, d, w).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_data_gradient_at_exact_fit_passes_negative_zeros(workers, monkeypatch):
+    # q - yhat is +0.0 at an exact fit, so -(q - yhat) is -0.0 everywhere;
+    # yhat - q would give +0.0
+    rng = np.random.default_rng(43)
+    d, x = large_problem(rng)
+    t = d.base
+    d = build_index(TripleSet(t.num_users, t.num_services, t.users, t.services,
+                              predict_observed(x, t)))
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    passed = []
+
+    def spy(x, d, w):
+        passed.append(w.copy())
+        return jacobian_transpose_vector(x, d, w)
+
+    monkeypatch.setattr(model_mod, "jacobian_transpose_vector", spy)
+    got = data_gradient(x, d)
+    yhat = predict_observed(x, d.base)[d.by_user.order]
+    want_w = -(d.base.values[d.by_user.order] - yhat)
+    assert np.signbit(want_w).all() and not want_w.any()
+    assert passed[0].tobytes() == want_w.tobytes()
+    assert got.tobytes() == jacobian_transpose_vector(x, d, want_w).tobytes()
 
 
 def test_gradient_hand_values():
