@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .sddmm import dot
+
 
 class NonFiniteOperatorError(RuntimeError):
     "The operator produced inf/nan, or the iteration overflowed."
@@ -77,14 +79,14 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     # scratch for alpha * p, alpha * A p and |r| in turn, allocated after
     # the first product so that it is not live inside it
     step = None
-    rs = float(r @ r)
+    rs = dot(r, r)
     iterations = 0
     while True:
         ap = apply_a(p)
         if not np.isfinite(ap).all():
             raise NonFiniteOperatorError(
                 f"operator product non-finite at iteration {iterations + 1}")
-        pap = float(p @ ap)
+        pap = dot(p, ap)
         if pap <= 0:
             raise IndefiniteOperatorError(
                 f"<p, A p> = {pap!r} at iteration {iterations + 1}")
@@ -105,7 +107,7 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         if last:
             break
         # r + beta * p, formed in p: the same product, and a sum that commutes
-        rs_next = float(r @ r)
+        rs_next = dot(r, r)
         p *= rs_next / rs
         p += r
         rs = rs_next

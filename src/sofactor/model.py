@@ -17,12 +17,13 @@ small factor entries toward zero.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .data import IndexedDataset, TripleSet
-from .sddmm import sampled_dots
+from .sddmm import dot, sampled_dots
 
 FORMAT_VERSION = 1
 
@@ -176,7 +177,7 @@ def residuals(x: FactorState, t: TripleSet) -> np.ndarray:
 def loss_data(x: FactorState, d: IndexedDataset) -> float:
     "Unregularized half sum of squared residuals over d."
     r = residuals(x, d.base)
-    return 0.5 * float(r @ r)
+    return 0.5 * dot(r, r)
 
 
 def rmse(x: FactorState, eval_set: IndexedDataset) -> float:
@@ -184,7 +185,7 @@ def rmse(x: FactorState, eval_set: IndexedDataset) -> float:
     if len(eval_set) == 0:
         raise ValueError("empty evaluation set")
     r = residuals(x, eval_set.base)
-    return math.sqrt(float(r @ r) / len(eval_set))
+    return math.sqrt(dot(r, r) / len(eval_set))
 
 
 def entity_counts(d: IndexedDataset) -> np.ndarray:
@@ -200,17 +201,12 @@ def _smooth_abs(block: np.ndarray, epsilon: float) -> np.ndarray:
 def objective(x: FactorState, d: IndexedDataset, h: Hyperparams) -> float:
     """Full training objective at x over the observations of d."""
     total = loss_data(x, d)
-    cu = d.by_user.counts.astype(np.float64)
-    cs = d.by_service.counts.astype(np.float64)
+    c = entity_counts(d)
     if h.lambda_r1 > 0:
-        total += h.lambda_r1 * (
-            cu @ _smooth_abs(x.user_factors, h.epsilon).sum(axis=1)
-            + cs @ _smooth_abs(x.service_factors, h.epsilon).sum(axis=1))
+        total += h.lambda_r1 * float((c * _smooth_abs(x.table, h.epsilon)).sum())
     if h.lambda_r2 > 0:
-        total += 0.5 * h.lambda_r2 * (
-            cu @ (x.user_factors * x.user_factors).sum(axis=1)
-            + cs @ (x.service_factors * x.service_factors).sum(axis=1))
-    return float(total)
+        total += 0.5 * h.lambda_r2 * float((c * (x.table * x.table)).sum())
+    return total
 
 
 def jacobian_transpose_vector(x: FactorState, d: IndexedDataset,
@@ -276,14 +272,25 @@ def save_factors(path, x: FactorState) -> None:
 
 
 def load_factors(path) -> FactorState:
-    with np.load(path) as z:
-        try:
-            version = int(z["version"])
-            f = int(z["f"])
-            uf = z["user_factors"]
-            sf = z["service_factors"]
-        except KeyError as e:
-            raise ValueError(f"{path}: not a factor dump (missing {e})") from None
+    """Read back a save_factors dump. A file that is not one raises a
+    ValueError that names path."""
+    with open(path, "rb") as fh:
+        if not zipfile.is_zipfile(fh):
+            raise ValueError(f"{path}: not a factor dump (not an npz archive)")
+        fh.seek(0)
+        with np.load(fh) as z:
+            try:
+                version = int(z["version"])
+                f = int(z["f"])
+                uf = z["user_factors"]
+                sf = z["service_factors"]
+            except KeyError as e:
+                raise ValueError(f"{path}: not a factor dump (missing {e})") from None
+            except (TypeError, ValueError) as e:  # a pickled or non-scalar member
+                raise ValueError(f"{path}: not a factor dump ({e})") from None
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported format version {version}")
-    return FactorState(f=f, user_factors=uf, service_factors=sf)
+    try:
+        return FactorState(f=f, user_factors=uf, service_factors=sf)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

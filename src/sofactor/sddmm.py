@@ -15,6 +15,10 @@ on (``run_spans``; ``RaggedIndex.weighted_sums`` uses it too). numpy's
 the spans run at once. Every output element goes through the same
 operations whichever span holds it, so no byte depends on the worker
 count.
+
+``dot`` is the library's one inner product: CG's inner products and
+the residual sums of RMSE and the loss go through it, so one function
+fixes their summation order.
 """
 
 from __future__ import annotations
@@ -88,6 +92,16 @@ def run_spans(fn, bounds) -> None:
         wait(futures)
     for future in futures:
         future.result()
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b for two 1-d float64 arrays of equal length; 0.0 if empty.
+
+    einsum without ``optimize`` runs numpy's own single-threaded
+    sum-of-products loop and calls no BLAS routine, so the sum's order,
+    and its bytes, do not depend on the BLAS thread count.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 def sampled_dots(rows: np.ndarray, cols: np.ndarray, pairs, out=None) -> np.ndarray:

@@ -9,6 +9,7 @@ from sofactor.cg import (
     NonFiniteOperatorError,
     cg_solve,
 )
+from sofactor.sddmm import dot
 
 
 def random_spd(rng, n):
@@ -214,7 +215,7 @@ def test_result_is_frozen():
 
 def frozen_cg_solve(apply_a, g, tau, max_iters):
     """The solve loop as it stood before its bookkeeping was trimmed: a
-    direction update and r @ r after every iteration, a copy of every
+    direction update and r . r after every iteration, a copy of every
     improving iterate, and a temporary for each update. Returns the best
     iterate, the iteration count, its residual max-norm, and the last
     iterate."""
@@ -226,11 +227,11 @@ def frozen_cg_solve(apply_a, g, tau, max_iters):
     best_delta = delta.copy()
     best_inf = r_inf
     p = r.copy()
-    rs = float(r @ r)
+    rs = dot(r, r)
     iterations = 0
     for _ in range(max_iters):
         ap = apply_a(p)
-        alpha = rs / float(p @ ap)
+        alpha = rs / dot(p, ap)
         delta += alpha * p
         r -= alpha * ap
         iterations += 1
@@ -240,7 +241,7 @@ def frozen_cg_solve(apply_a, g, tau, max_iters):
             best_delta = delta.copy()
         if r_inf <= tau:
             break
-        rs_next = float(r @ r)
+        rs_next = dot(r, r)
         p = r + (rs_next / rs) * p
         rs = rs_next
     return best_delta, iterations, best_inf, delta

@@ -248,8 +248,13 @@ for argv in json.loads(sys.argv[2]):
 """
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
-def test_train_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+# m3 at paper defaults takes zero steps; "m3-step" takes useful steps of
+# several CG iterations each
+_MODELS = {"m1": ["--model", "m1"], "m2": ["--model", "m2"], "m3": ["--model", "m3"],
+           "m3-step": ["--model", "m3", "--lambda-r1", "0.001", "--tau", "1"]}
+
+
+def _write_large_triples(tmp_path):
     # 288k train observations: above SPLIT_NNZ, so with two or more CPUs
     # both kernels split their work across the pool
     t, _ = synth_lowrank(400, 1000, rank=3, density=0.9, noise_sigma=0.05,
@@ -257,34 +262,52 @@ def test_train_bytes_do_not_depend_on_the_cpu_count(tmp_path):
     data = tmp_path / "d.txt"
     write_triples(data, t)
     assert math.floor(len(t) * 0.8) > data_mod.SPLIT_NNZ
-    # one BLAS thread in both: OpenBLAS sizes its own threads from the
-    # affinity mask, and splits long dot products in an order that
-    # depends on their count (ROADMAP item 3)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+    return data
+
+
+def _train_models(tmp_path, data, tag, cpus, **env):
+    """Trains each of _MODELS on data in one fresh interpreter, with env
+    added to the environment. Returns the child's worker count, the rest
+    of its stdout, and the bytes of each CSV and factor file."""
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join([str(Path(sofactor.__file__).parent.parent),
                                            os.environ.get("PYTHONPATH", "")]))
-    # m3 at paper defaults takes zero steps; "m3-step" takes useful
-    # steps of several CG iterations each
-    models = {"m1": ["--model", "m1"], "m2": ["--model", "m2"], "m3": ["--model", "m3"],
-              "m3-step": ["--model", "m3", "--lambda-r1", "0.001", "--tau", "1"]}
-    outputs = {}
-    for cpus in ("one", "all"):
-        runs = [["train", "--data", str(data), *args, "--f", "4",
-                 "--max-epochs", "2", "--train-frac", "0.8", "--val-frac", "0.1",
-                 "--learning-rate", "0.001",
-                 "--out", str(tmp_path / f"{cpus}-{name}.csv"),
-                 "--save-factors", str(tmp_path / f"{cpus}-{name}.npz")]
-                for name, args in models.items()]
-        done = subprocess.run([sys.executable, "-c", _TRAIN_CHILD, cpus, json.dumps(runs)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
-        workers, stdout = done.stdout.split("\n", 1)
-        files = [(tmp_path / f"{cpus}-{name}.{ext}").read_bytes()
-                 for name in models for ext in ("csv", "npz")]
-        outputs[cpus] = stdout, files
-        want = 1 if cpus == "one" else len(os.sched_getaffinity(0))
-        assert int(workers) == want
-    assert outputs["one"] == outputs["all"]
+    runs = [["train", "--data", str(data), *args, "--f", "4",
+             "--max-epochs", "2", "--train-frac", "0.8", "--val-frac", "0.1",
+             "--learning-rate", "0.001",
+             "--out", str(tmp_path / f"{tag}-{name}.csv"),
+             "--save-factors", str(tmp_path / f"{tag}-{name}.npz")]
+            for name, args in _MODELS.items()]
+    done = subprocess.run([sys.executable, "-c", _TRAIN_CHILD, cpus, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    workers, stdout = done.stdout.split("\n", 1)
+    files = [(tmp_path / f"{tag}-{name}.{ext}").read_bytes()
+             for name in _MODELS for ext in ("csv", "npz")]
+    return int(workers), stdout, files
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_train_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # BLAS is not pinned: OpenBLAS sizes its threads from the affinity
+    # mask, so the "one" child also runs one BLAS thread
+    data = _write_large_triples(tmp_path)
+    one = _train_models(tmp_path, data, "one", "one")
+    every = _train_models(tmp_path, data, "all", "all")
+    assert (one[0], every[0]) == (1, len(os.sched_getaffinity(0)))
+    assert one[1:] == every[1:]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="OpenBLAS caps its threads at the CPUs in the affinity mask, "
+                           "so with one CPU both runs would use one BLAS thread")
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    data = _write_large_triples(tmp_path)
+    runs = {threads: _train_models(tmp_path, data, f"blas{threads}", "all",
+                                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                                   MKL_NUM_THREADS=threads)
+            for threads in ("1", "2")}
+    assert runs["1"] == runs["2"]
 
 
 # -------------------------------------------------------------------- errors

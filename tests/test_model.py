@@ -6,6 +6,7 @@ observation and a brute-force python evaluation.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -261,8 +262,8 @@ def test_residuals_rmse_and_loss_keep_their_formulas_and_the_values():
     values = t.values.copy()
     r = t.values - predict_observed(x, t)
     assert residuals(x, t).tobytes() == r.tobytes()
-    assert rmse(x, d) == math.sqrt(float(r @ r) / len(d))
-    assert loss_data(x, d) == 0.5 * float(r @ r)
+    assert rmse(x, d) == math.sqrt(sddmm.dot(r, r) / len(d))
+    assert loss_data(x, d) == 0.5 * sddmm.dot(r, r)
     assert t.values.tobytes() == values.tobytes()
 
 
@@ -422,3 +423,35 @@ def test_load_factors_rejects_wrong_version_and_garbage(tmp_path):
     np.savez(p2, something=np.zeros(3))
     with pytest.raises(ValueError, match="not a factor dump"):
         load_factors(p2)
+
+
+def test_load_factors_rejects_a_plain_npy_file_naming_it(tmp_path):
+    p = tmp_path / "plain.npy"
+    np.save(p, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not a factor dump"):
+        load_factors(p)
+
+
+@pytest.mark.parametrize("content", [b"0 0 1.0\n", b"", b"PK\x03\x04 cut short"])
+def test_load_factors_rejects_a_file_that_is_no_archive_naming_it(tmp_path, content):
+    p = tmp_path / "triples.txt"
+    p.write_bytes(content)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not a factor dump"):
+        load_factors(p)
+
+
+@pytest.mark.parametrize("version", [np.array([{}], dtype=object), np.zeros(3)])
+def test_load_factors_rejects_a_pickled_or_non_scalar_member_naming_the_path(tmp_path, version):
+    p = tmp_path / "obj.npz"
+    np.savez(p, version=version, f=np.int64(1),
+             user_factors=np.zeros((1, 1)), service_factors=np.zeros((1, 1)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not a factor dump"):
+        load_factors(p)
+
+
+def test_load_factors_names_the_path_when_f_disagrees_with_the_arrays(tmp_path):
+    p = tmp_path / "f.npz"
+    np.savez(p, version=np.int64(1), f=np.int64(3),
+             user_factors=np.zeros((2, 2)), service_factors=np.zeros((4, 2)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: factor matrices must have f columns"):
+        load_factors(p)

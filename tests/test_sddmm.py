@@ -1,6 +1,7 @@
 """The blocked sampled-dot kernel against the unblocked row-wise einsum,
-at any worker count."""
+at any worker count, and the inner product against an exact sum."""
 
+import math
 import multiprocessing
 import time
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sofactor import sddmm
-from sofactor.sddmm import BLOCK_ROWS, run_spans, sampled_dots
+from sofactor.sddmm import BLOCK_ROWS, dot, run_spans, sampled_dots
 
 B = BLOCK_ROWS
 
@@ -137,3 +138,19 @@ def test_forked_child_starts_its_own_pool(monkeypatch):
         if proc.is_alive():
             proc.kill()
     assert proc.exitcode == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 300_001])
+def test_dot_is_within_1e_12_of_the_exact_sum(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.uniform(0, 1, (2, n))  # no cancellation: a relative bound holds
+    got = dot(a, b)
+    assert type(got) is float
+    assert abs(got - math.fsum(a * b)) <= 1e-12 * math.fsum(a * b)
+    c, d = rng.standard_normal((2, n))  # mixed signs: bound by the sum of |terms|
+    assert abs(dot(c, d) - math.fsum(c * d)) <= 1e-12 * math.fsum(np.abs(c * d))
+
+
+def test_dot_of_empty_vectors_is_zero():
+    got = dot(np.empty(0), np.empty(0))
+    assert type(got) is float and got == 0.0
