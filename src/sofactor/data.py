@@ -30,17 +30,11 @@ from itertools import islice
 import numpy as np
 import scipy.sparse as sp
 
-from . import sddmm
-from .sddmm import run_spans, sampled_dots
+from .sddmm import BLOCK_ROWS, run_spans, sampled_dots, span_bounds
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _TRIPLE = np.dtype([("u", "i8"), ("s", "i8"), ("v", "f8")])
 _ID = re.compile(r"[+-]?[0-9]+")
-# RaggedIndex.weighted_sums splits its groups above SPLIT_NNZ observations,
-# into chunks small enough that the products of one chunk per worker,
-# in flight at once, hold about IN_FLIGHT_BYTES beside the output
-SPLIT_NNZ = 1 << 18
-IN_FLIGHT_BYTES = 1 << 20
 
 
 # The array-holding types here (and FactorState, CgResult) are declared
@@ -159,11 +153,11 @@ class RaggedIndex:
         order and entry p is ``weights[positions[p]]`` instead. out, if
         given, receives the sums and is returned.
 
-        Above SPLIT_NNZ observations the groups are split into chunks of
-        about equal observation count, each summed as its own CSR matrix
-        over views of this index, on the thread pool of ``sddmm``; each
-        group's sum is the same whatever chunk holds it. Each chunk
-        gathers its own weights through ``positions``.
+        Chunks of groups run on the pool of ``sddmm``, split at the first
+        group at or after each inner bound of ``span_bounds(nnz)`` (equal
+        splits merge). A chunk sums BLOCK_ROWS groups at a time as a CSR
+        matrix over views of this index, gathering their weights through
+        ``positions``; no group's sum depends on the chunk or block.
         """
         indptr = self.indptr
         nnz = int(indptr[-1])
@@ -180,16 +174,15 @@ class RaggedIndex:
             raise ValueError(f"out has shape {out.shape}, expected {shape}")
 
         def chunk(lo, hi):
-            a, b = indptr[lo], indptr[hi]
-            w = weights[a:b] if positions is None else weights.take(positions[a:b])
-            m = sp.csr_matrix((w, self.indices[a:b], indptr[lo:hi + 1] - a),
-                              shape=(hi - lo, self.shape[1]))
-            out[lo:hi] = m @ rows
+            for start in range(lo, hi, BLOCK_ROWS):  # a block's product stays small
+                stop = min(start + BLOCK_ROWS, hi)
+                a, b = indptr[start], indptr[stop]
+                w = weights[a:b] if positions is None else weights.take(positions[a:b])
+                m = sp.csr_matrix((w, self.indices[a:b], indptr[start:stop + 1] - a),
+                                  shape=(stop - start, self.shape[1]))
+                out[start:stop] = m @ rows
 
-        parts = 1
-        if nnz > SPLIT_NNZ:
-            parts = max(sddmm.WORKERS, -(-sddmm.WORKERS * out.nbytes // IN_FLIGHT_BYTES))
-        starts = np.searchsorted(indptr, [nnz * i // parts for i in range(parts)])
+        starts = np.searchsorted(indptr, span_bounds(nnz)[:-1])
         run_spans(chunk, np.unique(np.append(starts, self.shape[0])))
         return out
 
@@ -256,9 +249,9 @@ class IndexedDataset:
     def user_major(self) -> UserMajorOrder:
         """The user-major work order, built on first use and then cached.
 
-        Above SPLIT_NNZ observations its gathers and its position scatter
-        run in spans on the thread pool of ``sddmm``: ``by_user.order``
-        is a permutation, so each span writes entries no other span does.
+        Its gathers and its position scatter run over ``span_bounds`` on
+        the thread pool of ``sddmm``: ``by_user.order`` is a permutation,
+        so each span writes entries no other span does.
         """
         by_user, by_service = self.by_user, self.by_service
         indptr = by_user.indptr
@@ -280,8 +273,7 @@ class IndexedDataset:
         def gather(lo, hi):
             np.take(position, by_service.order[lo:hi], out=to_service[lo:hi], mode="clip")
 
-        parts = sddmm.WORKERS if n > SPLIT_NNZ else 1
-        bounds = [n * i // parts for i in range(parts + 1)]
+        bounds = span_bounds(n)
         run_spans(scatter, bounds)
         run_spans(gather, bounds)
         return UserMajorOrder(

@@ -8,13 +8,13 @@ block's gathered rows cache-resident, and each block applies the same
 row-wise einsum as the unblocked form, so the output is bitwise
 identical to it.
 
-Large calls split their output into contiguous spans that run on one
-per-process pool of WORKERS threads, one per CPU this process may run
-on (``run_spans``; ``RaggedIndex.weighted_sums`` uses it too). numpy's
-``take`` and ``einsum`` and scipy's sparse products release the GIL, so
-the spans run at once. Every output element goes through the same
-operations whichever span holds it, so no byte depends on the worker
-count.
+Large calls split their output into the contiguous spans of
+``span_bounds``, which decides every split in the library, and run them
+on one per-process pool of WORKERS threads, one per CPU this process
+may run on (``run_spans``). numpy's ``take`` and ``einsum`` and scipy's
+sparse products release the GIL, so the spans run at once. Every output
+element goes through the same operations whichever span holds it, so no
+byte depends on the worker count.
 
 ``dot`` is the library's one inner product: CG's inner products and
 the residual sums of RMSE and the loss go through it, so one function
@@ -32,9 +32,8 @@ import numpy as np
 # Two gathered (2048, 20) float64 blocks take 650 kB; measured on a
 # 2-vCPU Xeon with 2 MB L2 per core, 2048 rows beat 1k and 4k-64k rows.
 BLOCK_ROWS = 2048
-# sampled_dots gives each span at least this many blocks, so that a span
-# outweighs the hand-off to a pool thread (tens of microseconds)
-MIN_SPAN_BLOCKS = 4
+# the least span worth the hand-off to a pool thread (tens of microseconds)
+MIN_SPAN = 4 * BLOCK_ROWS
 
 
 def _cpus() -> int:
@@ -68,6 +67,17 @@ def _executor() -> ThreadPoolExecutor:
         if _pool is None:
             _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="sofactor")
         return _pool
+
+
+def span_bounds(n: int, quantum: int = 1) -> list:
+    """The bounds of the spans that a pooled pass over range(n) runs:
+    max(1, min(WORKERS, n // MIN_SPAN)) contiguous spans from 0 to n.
+
+    Inner bound i of p spans is n * i // p rounded down to a multiple of
+    quantum (at most MIN_SPAN), so no span of n > 0 is empty.
+    """
+    parts = max(1, min(WORKERS, n // MIN_SPAN))
+    return [n * i // parts // quantum * quantum for i in range(parts)] + [n]
 
 
 def run_spans(fn, bounds) -> None:
@@ -129,7 +139,5 @@ def sampled_dots(rows: np.ndarray, cols: np.ndarray, pairs, out=None) -> np.ndar
                 o += np.einsum("ij,ij->i", a.take(r, axis=0), b.take(c, axis=0))
 
     # spans of whole blocks: every block is the one a serial walk makes
-    blocks = -(-n // BLOCK_ROWS)
-    parts = max(1, min(WORKERS, blocks // MIN_SPAN_BLOCKS))
-    run_spans(span, [min(n, blocks * i // parts * BLOCK_ROWS) for i in range(parts + 1)])
+    run_spans(span, span_bounds(n, BLOCK_ROWS))
     return out

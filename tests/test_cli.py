@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import sofactor
-from sofactor import data as data_mod
+from sofactor import sddmm
 
 from sofactor.bench import GridSpec, run_benchmark
 from sofactor.cli import _from_args, _make_kind, build_parser, main, resolve_data_path
@@ -255,13 +255,13 @@ _MODELS = {"m1": ["--model", "m1"], "m2": ["--model", "m2"], "m3": ["--model", "
 
 
 def _write_large_triples(tmp_path):
-    # 288k train observations: above SPLIT_NNZ, so with two or more CPUs
-    # both kernels split their work across the pool
+    # 288k train observations: above 2 * MIN_SPAN, so with two or more
+    # CPUs every pooled pass splits its work across the pool
     t, _ = synth_lowrank(400, 1000, rank=3, density=0.9, noise_sigma=0.05,
                          seed=0, init_lo=0.2, init_hi=1.0)
     data = tmp_path / "d.txt"
     write_triples(data, t)
-    assert math.floor(len(t) * 0.8) > data_mod.SPLIT_NNZ
+    assert math.floor(len(t) * 0.8) > 2 * sddmm.MIN_SPAN
     return data
 
 

@@ -582,9 +582,9 @@ def chunks_run(monkeypatch):
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_weighted_sums_at_any_worker_count_give_the_serial_bytes(
         extra, workers, monkeypatch, chunks_run):
-    # nnz just below, at and just above SPLIT_NNZ; groups 0, 1 and the
-    # last two are empty
-    nnz = data_mod.SPLIT_NNZ + extra
+    # nnz just below, at and just above the least that splits, 2 * MIN_SPAN;
+    # groups 0, 1 and the last two are empty
+    nnz = 2 * sddmm.MIN_SPAN + extra
     nu, ns, f = 3000, 700, 3
     rng = np.random.default_rng(nnz)
     ids = rng.integers(2, nu - 2, nnz)
@@ -596,29 +596,29 @@ def test_weighted_sums_at_any_worker_count_give_the_serial_bytes(
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
     assert np.array_equal(index.weighted_sums(w, rows), want)
-    # out.nbytes is far below IN_FLIGHT_BYTES: one chunk per worker
-    assert chunks_run == [workers if nnz > data_mod.SPLIT_NNZ else 1]
+    # about 5 observations per group, so no two span bounds fall in one
+    # group: one chunk per span
+    assert chunks_run == [max(1, min(workers, nnz // sddmm.MIN_SPAN))]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_weighted_sums_in_many_chunks_and_one_dominant_group(workers, monkeypatch, chunks_run):
-    # group 3 holds 60% of the observations, so chunks of equal nnz meet
-    # inside it and merge; small chunks make several per worker
-    nnz = data_mod.SPLIT_NNZ + 1000
+def test_weighted_sums_merge_chunks_inside_one_dominant_group(workers, monkeypatch, chunks_run):
+    # group 3 holds 80% of the observations, so at three workers the
+    # inner bounds at a third and two thirds of nnz both fall inside it
+    # and their chunks merge
+    nnz = 3 * sddmm.MIN_SPAN + 1000
     nu, ns, f = 500, 300, 4
     rng = np.random.default_rng(11)
     ids = rng.integers(0, nu, nnz)
-    ids[rng.random(nnz) < 0.6] = 3
+    ids[rng.random(nnz) < 0.8] = 3
     index = _grouped(ids, rng.integers(0, ns, nnz), (nu, ns))
     w = rng.standard_normal(nnz)
     rows = rng.standard_normal((ns, f))
     want = serial_sums(index, w, rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
-    monkeypatch.setattr(data_mod, "IN_FLIGHT_BYTES", 1024)
     assert np.array_equal(index.weighted_sums(w, rows), want)
-    parts = -(-workers * nu * f * 8 // 1024)
-    assert 1 < chunks_run[0] < parts  # the chunks inside group 3 merged
+    assert chunks_run == [{1: 1, 2: 2, 3: 2}[workers]]  # at 3, two merged
 
 
 def test_weighted_sums_reject_weights_of_another_length():
@@ -632,8 +632,8 @@ def test_weighted_sums_reject_weights_of_another_length():
 def test_weighted_sums_gather_their_weights_per_chunk(extra, workers, monkeypatch, chunks_run):
     # each chunk takes weights[positions[a:b]]: the bytes of gathering
     # all the weights first, at nnz just below, at and just above
-    # SPLIT_NNZ, in many small chunks above it
-    nnz = data_mod.SPLIT_NNZ + extra
+    # 2 * MIN_SPAN, the least that splits
+    nnz = 2 * sddmm.MIN_SPAN + extra
     nu, ns, f = 3000, 700, 3
     rng = np.random.default_rng(nnz + 7)
     index = _grouped(rng.integers(0, nu, nnz), rng.integers(0, ns, nnz), (nu, ns))
@@ -644,12 +644,30 @@ def test_weighted_sums_gather_their_weights_per_chunk(extra, workers, monkeypatc
     want = serial_sums(index, w[positions], rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
-    monkeypatch.setattr(data_mod, "IN_FLIGHT_BYTES", 4096)
     out = np.empty((nu, f))
     got = index.weighted_sums(w, rows, positions=positions, out=out)
     assert got is out
     assert got.tobytes() == want.tobytes()
-    assert chunks_run[0] > 2 * workers if nnz > data_mod.SPLIT_NNZ else chunks_run == [1]
+    assert chunks_run == [max(1, min(workers, nnz // sddmm.MIN_SPAN))]
+
+
+def test_weighted_sums_of_two_min_spans_run_in_two_chunks(monkeypatch, chunks_run):
+    # 2 * MIN_SPAN observations at two workers: both sides run in two chunks
+    n = 2 * sddmm.MIN_SPAN
+    nu, ns, f = 5000, 3000, 20
+    rng = np.random.default_rng(17)
+    cells = rng.choice(nu * ns, size=n, replace=False)
+    d = build_index(TripleSet(nu, ns, cells // ns, cells % ns, rng.standard_normal(n)))
+    w = rng.standard_normal(n)
+    user_rows, service_rows = rng.standard_normal((nu, f)), rng.standard_normal((ns, f))
+    want_user = serial_sums(d.by_user, w, service_rows)
+    want_service = serial_sums(d.by_service, w[d.user_major.to_service], user_rows)
+
+    monkeypatch.setattr(sddmm, "WORKERS", 2)
+    chunks_run.clear()  # of the view build
+    assert d.user_weighted_sums(w, service_rows).tobytes() == want_user.tobytes()
+    assert d.service_weighted_sums(w, user_rows).tobytes() == want_service.tobytes()
+    assert chunks_run == [2, 2]
 
 
 def test_weighted_sums_reject_positions_and_out_of_another_shape():
@@ -664,8 +682,8 @@ def test_weighted_sums_reject_positions_and_out_of_another_shape():
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_user_major_view_built_in_spans_gives_its_serial_definition(
         extra, workers, monkeypatch):
-    # the scatter and the gathers of the view run in spans above SPLIT_NNZ
-    n = data_mod.SPLIT_NNZ + extra
+    # the scatter and the gathers of the view split from 2 * MIN_SPAN on
+    n = 2 * sddmm.MIN_SPAN + extra
     nu, ns = 3000, 700
     rng = np.random.default_rng(n)
     cells = rng.choice(nu * ns, size=n, replace=False)

@@ -11,7 +11,7 @@ import re
 import numpy as np
 import pytest
 
-from sofactor import data as data_mod, model as model_mod, sddmm
+from sofactor import model as model_mod, sddmm
 from sofactor.data import TripleSet, build_index, synth_lowrank
 from sofactor.model import (
     FactorState,
@@ -301,8 +301,8 @@ def test_gradient_component_split():
 
 
 def large_problem(rng, f=3):
-    "Train set just above SPLIT_NNZ, so every observation pass splits."
-    nu, ns, n = 3000, 700, data_mod.SPLIT_NNZ + 1
+    "Train set of 3 * MIN_SPAN: every observation pass splits, in three at three workers."
+    nu, ns, n = 3000, 700, 3 * sddmm.MIN_SPAN
     cells = rng.choice(nu * ns, size=n, replace=False)
     t = TripleSet(nu, ns, cells // ns, cells % ns, rng.uniform(0, 3, n))
     x = FactorState(f=f, user_factors=rng.uniform(-1, 1, (nu, f)),

@@ -3,13 +3,16 @@ at any worker count, and the inner product against an exact sum."""
 
 import math
 import multiprocessing
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from sofactor import sddmm
-from sofactor.sddmm import BLOCK_ROWS, dot, run_spans, sampled_dots
+from sofactor.data import IndexedDataset, TripleSet
+from sofactor.sddmm import BLOCK_ROWS, dot, run_spans, sampled_dots, span_bounds
 
 B = BLOCK_ROWS
 
@@ -44,9 +47,27 @@ def test_out_of_range_id_raises():
 
 # ------------------------------------------------------------ worker threads
 
-# the least n that sampled_dots splits in two: 2 * MIN_SPAN_BLOCKS blocks,
-# the last of them holding one row
-SPLIT_N = (2 * sddmm.MIN_SPAN_BLOCKS - 1) * B + 1
+# the least n that a pooled pass splits in two
+SPLIT_N = 2 * sddmm.MIN_SPAN
+
+
+@pytest.mark.parametrize("quantum", [1, B])
+@pytest.mark.parametrize("n", [0, 1, sddmm.MIN_SPAN - 1, SPLIT_N - 1, SPLIT_N,
+                               3 * sddmm.MIN_SPAN + 5])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_span_bounds_follow_the_one_rule(workers, n, quantum, monkeypatch):
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    bounds = span_bounds(n, quantum)
+    parts = max(1, min(workers, n // sddmm.MIN_SPAN))
+    assert len(bounds) == parts + 1
+    assert bounds[0] == 0 and bounds[-1] == n
+    # inner bound i is n * i // parts rounded down to a multiple of quantum
+    assert bounds[1:-1] == [n * i // parts // quantum * quantum for i in range(1, parts)]
+    assert all(b % quantum == 0 for b in bounds[:-1])
+    if n:
+        assert all(lo < hi for lo, hi in zip(bounds[:-1], bounds[1:]))
+    else:
+        assert bounds == [0, 0]
 
 
 @pytest.fixture
@@ -63,8 +84,7 @@ def spans_run(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n", [SPLIT_N - 1, SPLIT_N, SPLIT_N + 1,
-                               3 * sddmm.MIN_SPAN_BLOCKS * B + 5])
+@pytest.mark.parametrize("n", [SPLIT_N - 1, SPLIT_N, SPLIT_N + 1, 3 * sddmm.MIN_SPAN + 5])
 def test_any_worker_count_gives_the_serial_bytes(n, workers, monkeypatch, spans_run):
     rng = np.random.default_rng(n)
     a, c = rng.standard_normal((2, 41, 7))
@@ -80,15 +100,14 @@ def test_any_worker_count_gives_the_serial_bytes(n, workers, monkeypatch, spans_
     out = np.full(n, np.nan)
     assert sampled_dots(rows, cols, ((a, b), (c, d)), out=out) is out
     assert np.array_equal(out, want_two)
-    blocks = -(-n // B)
-    parts = max(1, min(workers, blocks // sddmm.MIN_SPAN_BLOCKS))
+    parts = max(1, min(workers, n // sddmm.MIN_SPAN))
     assert spans_run == [parts, parts]
     assert (parts > 1) == (workers > 1 and n >= SPLIT_N)
 
 
 def test_out_of_range_id_in_a_later_span_raises(monkeypatch, spans_run):
     monkeypatch.setattr(sddmm, "WORKERS", 3)
-    n = 3 * sddmm.MIN_SPAN_BLOCKS * B
+    n = 3 * sddmm.MIN_SPAN
     a = np.ones((3, 2))
     rows = np.zeros(n, dtype=np.int64)
     rows[-1] = 3
@@ -110,6 +129,58 @@ def test_run_spans_waits_for_every_span_before_raising(monkeypatch):
     with pytest.raises(KeyError):
         run_spans(fn, [0, 1, 2, 3])
     assert sorted(finished) == [1, 2]
+
+
+def test_pool_under_stress_gives_the_one_worker_bytes(monkeypatch):
+    # eight workers, more than this suite's CPUs, and a thread switch every
+    # microsecond: a span that lost or crossed another's writes changes bytes
+    n, nu, ns = 50_000, 400, 300
+    rng = np.random.default_rng(23)
+    cells = rng.choice(nu * ns, size=n, replace=False)
+    t = TripleSet(nu, ns, cells // ns, cells % ns, rng.standard_normal(n))
+    a, c = rng.standard_normal((2, nu, 8))
+    b, d = rng.standard_normal((2, ns, 8))
+    w = rng.standard_normal(n)
+
+    def one_round():
+        ds = IndexedDataset(t)  # a fresh user-major view each round
+        um = ds.user_major
+        dots = sampled_dots(t.users, t.services, ((a, b), (c, d)))
+        sums = ds.service_weighted_sums(w, a)  # gathers through positions
+        return [dots.tobytes(), sums.tobytes(), um.values.tobytes(),
+                um.to_service.tobytes(), um.users.tobytes()]
+
+    monkeypatch.setattr(sddmm, "WORKERS", 1)
+    want = one_round()
+    monkeypatch.setattr(sddmm, "WORKERS", 8)
+    assert len(span_bounds(n)) - 1 == 6
+    monkeypatch.setattr(sddmm, "_pool", None)  # the next split starts 8 threads
+    got, errors = [], []
+
+    def rounds():
+        try:
+            for _ in range(20):
+                got.append(one_round())
+        except Exception as e:  # re-raised below, on the test's thread
+            errors.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=rounds, daemon=True)
+    try:
+        thread.start()
+        thread.join(120)
+        assert not thread.is_alive(), "the rounds did not finish in 120 s"
+    finally:
+        sys.setswitchinterval(interval)
+        if sddmm._pool is not None:
+            # a hung round keeps its spans on the pool: do not wait for them
+            sddmm._pool.shutdown(wait=not thread.is_alive())
+    if errors:
+        raise errors[0]
+    assert len(got) == 20
+    for i, round_bytes in enumerate(got):
+        assert round_bytes == want, f"round {i}"
 
 
 def test_forked_child_starts_its_own_pool(monkeypatch):
