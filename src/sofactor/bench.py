@@ -95,7 +95,7 @@ def _grid_points(grid: GridSpec, kind: OptimizerKind) -> Iterable[GridPoint]:
         yield GridPoint(replace(grid.fixed, lambda_r1=l1, lambda_r2=l2, gamma=gamma), kind)
 
 
-def grid_search(split_data, grid: GridSpec, kind: Optional[OptimizerKind] = None,
+def grid_search(split_data, grid: GridSpec, kind: OptimizerKind,
                 progress=None) -> tuple[GridPoint, list[GridPointResult]]:
     """Train every grid candidate and pick the lowest validation RMSE.
 
@@ -106,8 +106,6 @@ def grid_search(split_data, grid: GridSpec, kind: Optional[OptimizerKind] = None
     error message and skipped in the selection; if every candidate
     fails, RuntimeError.
     """
-    if kind is None:
-        kind = OptimizerKind.drslf()
     results: list[GridPointResult] = []
     best: Optional[GridPoint] = None
     best_val = float("inf")

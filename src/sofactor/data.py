@@ -315,16 +315,32 @@ def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedInde
     The keys ``ids * n + position`` are unique and sort by id, then by
     position, so ``key % n`` is the stable grouping order whatever
     algorithm ``np.sort`` uses. TripleSet bounds every key to int64.
+    The key build, the remainder and the gather of ``other_ids`` run
+    over ``span_bounds`` on the pool of ``sddmm``; the sort cannot.
     """
     n = len(ids)
-    order = ids * n
-    order += np.arange(n)
+    order = np.empty(n, dtype=np.int64)
+    position = np.arange(n)
+
+    def keys(lo, hi):
+        np.multiply(ids[lo:hi], n, out=order[lo:hi])
+        order[lo:hi] += position[lo:hi]
+
+    def unkey(lo, hi):
+        order[lo:hi] %= n
+        # order now holds a permutation of range(n), so clip never clips
+        np.take(other_ids, order[lo:hi], out=other[lo:hi], mode="clip")
+
+    bounds = span_bounds(n)
+    run_spans(keys, bounds)
+    del position  # freed before other is allocated: the two are never live at once
     order.sort()
-    order %= max(n, 1)
+    other = np.empty(n, dtype=other_ids.dtype)
+    run_spans(unkey, bounds)
     offsets = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=shape[0]), out=offsets[1:])
     # built through scipy so that its index-dtype choice for shape holds
-    m = sp.csr_matrix((np.zeros(n), other_ids[order], offsets), shape=shape)
+    m = sp.csr_matrix((np.zeros(n), other, offsets), shape=shape)
     return RaggedIndex(shape=shape, order=order, indices=m.indices, indptr=m.indptr)
 
 
@@ -571,9 +587,18 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     def part(idx):
         # idx is a slice of one permutation, so the parts are disjoint
         # subsets of t: their ids lie in t's range, their pairs are
-        # distinct and their values finite because t's are
-        return _trusted(t.num_users, t.num_services,
-                        t.users[idx], t.services[idx], t.values[idx])
+        # distinct and their values finite because t's are. The gathers
+        # run on the pool of sddmm; idx lies in range(len(t)), so clip
+        # never clips
+        columns = (t.users, t.services, t.values)
+        gathered = [np.empty(len(idx), dtype=c.dtype) for c in columns]
+
+        def gather(lo, hi):
+            for c, g in zip(columns, gathered):
+                np.take(c, idx[lo:hi], out=g[lo:hi], mode="clip")
+
+        run_spans(gather, span_bounds(len(idx)))
+        return _trusted(t.num_users, t.num_services, *gathered)
 
     return SplitDataset(
         train=build_index(part(perm[:n_train]), role="train"),

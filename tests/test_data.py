@@ -5,6 +5,7 @@ python dictionaries; file formats against hand-written fixtures.
 """
 
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -595,6 +596,7 @@ def test_weighted_sums_at_any_worker_count_give_the_serial_bytes(
     assert not want[[0, 1, -2, -1]].any()
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
+    chunks_run.clear()  # of the index build
     assert np.array_equal(index.weighted_sums(w, rows), want)
     # about 5 observations per group, so no two span bounds fall in one
     # group: one chunk per span
@@ -617,6 +619,7 @@ def test_weighted_sums_merge_chunks_inside_one_dominant_group(workers, monkeypat
     want = serial_sums(index, w, rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
+    chunks_run.clear()  # of the index build
     assert np.array_equal(index.weighted_sums(w, rows), want)
     assert chunks_run == [{1: 1, 2: 2, 3: 2}[workers]]  # at 3, two merged
 
@@ -644,6 +647,7 @@ def test_weighted_sums_gather_their_weights_per_chunk(extra, workers, monkeypatc
     want = serial_sums(index, w[positions], rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
+    chunks_run.clear()  # of the index build
     out = np.empty((nu, f))
     got = index.weighted_sums(w, rows, positions=positions, out=out)
     assert got is out
@@ -664,7 +668,7 @@ def test_weighted_sums_of_two_min_spans_run_in_two_chunks(monkeypatch, chunks_ru
     want_service = serial_sums(d.by_service, w[d.user_major.to_service], user_rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", 2)
-    chunks_run.clear()  # of the view build
+    chunks_run.clear()  # of the index and view builds
     assert d.user_weighted_sums(w, service_rows).tobytes() == want_user.tobytes()
     assert d.service_weighted_sums(w, user_rows).tobytes() == want_service.tobytes()
     assert chunks_run == [2, 2]
@@ -700,7 +704,108 @@ def test_user_major_view_built_in_spans_gives_its_serial_definition(
     assert np.array_equal(um.users, t.users[d.by_user.order])
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [2 * sddmm.MIN_SPAN - 1, 2 * sddmm.MIN_SPAN,
+                               2 * sddmm.MIN_SPAN + 1, 3 * sddmm.MIN_SPAN + 5])
+def test_grouping_in_spans_gives_its_serial_definition(n, workers, monkeypatch, chunks_run):
+    # the key build, and the remainder with the gather, each split from
+    # 2 * MIN_SPAN on; the sort between them runs whole
+    rng = np.random.default_rng(n)
+    ids = rng.integers(0, 3000, n)
+    other = rng.integers(0, 700, n)
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    g = _grouped(ids, other, (3000, 700))
+    spans = max(1, min(workers, n // sddmm.MIN_SPAN))
+    assert chunks_run == [spans, spans]
+    order = np.argsort(ids, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=3000))])
+    assert g.order.dtype == np.int64 and g.order.tobytes() == order.tobytes()
+    assert g.indices.dtype == g.indptr.dtype == sparse.csr_matrix((3000, 700)).indptr.dtype
+    assert g.indices.tobytes() == other[order].astype(g.indices.dtype).tobytes()
+    assert g.indptr.tobytes() == indptr.astype(g.indptr.dtype).tobytes()
+
+
 # ---------------------------------------------------------------- split
+
+def distinct_cells(n, seed, nu=3000, ns=700):
+    "A TripleSet of n distinct random cells of an nu x ns matrix."
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(nu * ns, size=n, replace=False)
+    return TripleSet(nu, ns, cells // ns, cells % ns, rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [2 * sddmm.MIN_SPAN - 1, 2 * sddmm.MIN_SPAN,
+                               2 * sddmm.MIN_SPAN + 1, 3 * sddmm.MIN_SPAN + 5])
+def test_split_in_spans_gives_the_gathers_of_its_permutation(n, workers, monkeypatch, chunks_run):
+    # 4n observations split 1/2, 1/4, 1/4: the validation and test parts
+    # hold n each, just below, at and above the least that splits
+    t = distinct_cells(4 * n, seed=n)
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    sp = split(t, 0.5, 0.25, seed=n)
+    train, other = (max(1, min(workers, m // sddmm.MIN_SPAN)) for m in (2 * n, n))
+    # the train part's gathers and its two groupings' two passes each,
+    # then the gathers of the validation and the test part
+    assert chunks_run == [train] * 5 + [other] * 2
+    perm = np.random.default_rng(n).permutation(4 * n)
+    parts = (sp.train.base, sp.validation.base, sp.test.base)
+    for part, idx in zip(parts, (perm[:2 * n], perm[2 * n:3 * n], perm[3 * n:])):
+        for name in ("users", "services", "values"):
+            got, want = getattr(part, name), getattr(t, name)[idx]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_split_and_index_peak_no_higher_on_two_workers(monkeypatch):
+    # the pooled passes allocate every output on the calling thread, so
+    # a second worker adds no temporaries at once; 64 KB of slack for
+    # the pool's own bookkeeping
+    t = distinct_cells(3 * sddmm.MIN_SPAN, seed=29)
+
+    def peak(workers):
+        monkeypatch.setattr(sddmm, "WORKERS", workers)
+        split(t, 0.8, 0.1, seed=0)  # starts the pool, if it runs on one
+        tracemalloc.start()
+        try:
+            sp = split(t, 0.8, 0.1, seed=0)
+            build_index(sp.test.base)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    serial = peak(1)
+    assert peak(2) <= serial + 64 * 1024
+
+
+def test_grouping_in_spans_holds_no_more_at_once_than_one_serial_build(monkeypatch):
+    # the serial build, written out, frees each temporary as soon as it
+    # can; a position array kept alive through the gather would add
+    # 8 bytes per observation to the peak
+    def serial(ids, other_ids, shape):
+        n = len(ids)
+        order = ids * n
+        order += np.arange(n)
+        order.sort()
+        order %= n
+        offsets = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids, minlength=shape[0]), out=offsets[1:])
+        sparse.csr_matrix((np.zeros(n), other_ids[order], offsets), shape=shape)
+
+    rng = np.random.default_rng(31)
+    n = 3 * sddmm.MIN_SPAN
+    ids, other = rng.integers(0, 3000, n), rng.integers(0, 700, n)
+    monkeypatch.setattr(sddmm, "WORKERS", 2)
+    _grouped(ids, other, (3000, 700))  # starts the pool, if it runs on one
+    peaks = []
+    for build in (serial, _grouped):
+        tracemalloc.start()
+        try:
+            build(ids, other, (3000, 700))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 64 * 1024
+
+
 
 def test_split_sizes_follow_floor_rule():
     t = TripleSet(2, 5, np.repeat([0, 1], 5), np.tile(np.arange(5), 2),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sofactor import sddmm
-from sofactor.data import IndexedDataset, TripleSet
+from sofactor.data import IndexedDataset, TripleSet, split
 from sofactor.sddmm import BLOCK_ROWS, dot, run_spans, sampled_dots, span_bounds
 
 B = BLOCK_ROWS
@@ -147,8 +147,15 @@ def test_pool_under_stress_gives_the_one_worker_bytes(monkeypatch):
         um = ds.user_major
         dots = sampled_dots(t.users, t.services, ((a, b), (c, d)))
         sums = ds.service_weighted_sums(w, a)  # gathers through positions
+        sp = split(t, 0.34, 0.33, seed=3)  # every part gathered in two spans
+        parts = [sp.train.base, sp.validation.base, sp.test.base]
+        groupings = [sp.train.by_user, sp.train.by_service]  # built by split
         return [dots.tobytes(), sums.tobytes(), um.values.tobytes(),
-                um.to_service.tobytes(), um.users.tobytes()]
+                um.to_service.tobytes(), um.users.tobytes()] + [
+                getattr(p, name).tobytes() for p in parts
+                for name in ("users", "services", "values")] + [
+                getattr(g, name).tobytes() for g in groupings
+                for name in ("order", "indices", "indptr")]
 
     monkeypatch.setattr(sddmm, "WORKERS", 1)
     want = one_round()
