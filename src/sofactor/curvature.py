@@ -28,15 +28,15 @@ from .sddmm import sampled_dots
 class CurvatureContext:
     """Precomputed pieces for repeated curvature products at a fixed point.
 
-    Built once per outer epoch from the current factors, the indexed
-    train split, and hyperparameters. It caches the regularizer
-    diagonals in the layout of ``x.table`` (an L1 table only when
-    lambda_r1 > 0, since the L1 term is absent otherwise, and an L2
-    column of per-row weights) and one J v scratch buffer. Every product
-    is one blocked gather pass in the train set's user-major order (J v
-    reads its factor rows from x block by block, holding no
-    per-observation copy) plus two sparse accumulations. The context
-    must be treated as read-only and rebuilt whenever x changes: it
+    Built once per solved epoch (none after a zero step, whose solve is
+    reused) from the current factors, the indexed train split, and
+    hyperparameters. It caches the regularizer diagonals in the layout of
+    ``x.table`` (an L1 table only when lambda_r1 > 0, since the L1 term is
+    absent otherwise, and an L2 column of per-row weights) and one J v
+    scratch buffer. Every product is one blocked gather pass in the train
+    set's user-major order (J v reads its factor rows from x block by block,
+    holding no per-observation copy) plus two sparse accumulations. The
+    context must be treated as read-only and rebuilt whenever x changes: it
     keeps a reference to x, so mutating x while a context is live
     invalidates it.
     """

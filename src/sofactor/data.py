@@ -339,8 +339,8 @@ def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedInde
     run_spans(unkey, bounds)
     offsets = np.zeros(shape[0] + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=shape[0]), out=offsets[1:])
-    # built through scipy so that its index-dtype choice for shape holds
-    m = sp.csr_matrix((np.zeros(n), other, offsets), shape=shape)
+    # scipy picks the index dtype for shape; its data is one zero, broadcast
+    m = sp.csr_matrix((np.broadcast_to(0.0, n), other, offsets), shape=shape)
     return RaggedIndex(shape=shape, order=order, indices=m.indices, indptr=m.indptr)
 
 

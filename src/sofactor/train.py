@@ -1,19 +1,19 @@
-"""Outer training loop: second-order updates, the momentum-SGD baseline,
-early stopping on validation RMSE, and per-epoch reporting.
+"""Outer training loop: one stepper per optimizer, early stopping on
+validation RMSE, and per-epoch reporting.
 
-Three optimizers share the loop:
+Each optimizer's stepper is a generator that owns its per-run state and
+adds one epoch's update to the factors per ``next``:
 
 * DRSLF: damped Gauss-Newton step for the doubly regularized objective,
-  solved matrix-free by inner CG;
-* SLF: the same second-order step with the smooth L1 term switched off
-  (quadratic penalty only);
+  solved matrix-free by inner CG; it reuses a zero step's iteration count;
+* SLF: the same stepper with the smooth L1 term switched off;
 * SGDM: per-observation stochastic gradient with momentum on the
-  L2-regularized objective, the first-order baseline.
+  L2-regularized objective, the first-order baseline; it owns the velocity.
 
-Every epoch records train RMSE, validation RMSE, inner iteration count
-(CG iterations, or observations visited for SGDM) and wall time. The
-model kept at the end is the one from the best validation epoch, and
-the test RMSE is reported for that model only.
+``train`` picks the stepper once and keeps what every optimizer shares:
+each epoch's finiteness check, train and validation RMSE, inner iteration
+count and wall time, and the best-validation snapshot and patience. The
+test RMSE is reported for the best validation epoch's model only.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ from __future__ import annotations
 import io
 import time
 from dataclasses import dataclass, field, replace
+from itertools import count, repeat
 from typing import Optional
 
 import numpy as np
 
-from .cg import CgResult, cg_solve
+from .cg import cg_solve
 from .curvature import CurvatureContext
-from .data import SplitDataset
+from .data import IndexedDataset, SplitDataset
 from .model import FactorState, Hyperparams, check_finite_fields, gradient, init_factors, rmse
 
 VALID_OPTIMIZERS = ("DRSLF", "SLF", "SGDM")
@@ -218,28 +219,39 @@ def _sgdm_epoch(users, services, values, order, X, V, num_users,
         X[rows] = R
 
 
-def _second_order_epoch(x: FactorState, split: SplitDataset, h: Hyperparams,
-                        epoch: int) -> CgResult:
-    "One damped Newton step, added to x in place; returns the solve."
-    ctx = CurvatureContext(x, split.train, h)
-    g = gradient(x, split.train, h)
-    try:
-        result = cg_solve(ctx.damped_hvp, g, h.tau, h.cg_max_iters)
-    except RuntimeError as exc:
-        raise type(exc)(f"epoch {epoch}: {exc}") from exc
-    x.add_vector(result.delta)
-    return result
+def _second_order_steps(x: FactorState, data: IndexedDataset, h: Hyperparams):
+    "Damped Newton steps added to x in place; each yields its CG iteration count."
+    for epoch in count(1):
+        ctx = CurvatureContext(x, data, h)
+        g = gradient(x, data, h)
+        try:
+            result = cg_solve(ctx.damped_hvp, g, h.tau, h.cg_max_iters)
+        except RuntimeError as exc:
+            raise type(exc)(f"epoch {epoch}: {exc}") from exc
+        x.add_vector(result.delta)
+        inner, zero_step = result.iterations, not result.delta.any()
+        del ctx, g, result  # none is held through the RMSE passes and the next solve
+        # A step is a pure function of x, data and h, and the factors never
+        # hold -0.0: init draws lo + (hi - lo) * u with (hi - lo) * u >= +0.0,
+        # and a sum with an operand that is not -0.0 is never -0.0. So a zero
+        # step leaves every bit of x as it was, and every later epoch would
+        # repeat the same solve and zero step: they yield its count instead.
+        if zero_step:
+            yield from repeat(inner)
+        yield inner
 
 
-def _sgdm_epoch_run(x: FactorState, velocity: np.ndarray, split: SplitDataset,
-                    h: Hyperparams, kind: OptimizerKind, epoch: int) -> int:
-    t = split.train.base
-    order = np.random.default_rng((h.seed, epoch)).permutation(len(t)).astype(np.int64)
-    # a diverging run overflows here; train's finiteness check names it
-    with np.errstate(over="ignore", invalid="ignore"):
-        _sgdm_epoch(t.users, t.services, t.values, order, x.table, velocity,
-                    x.num_users, kind.learning_rate, kind.momentum, h.lambda_r2)
-    return len(t)
+def _sgdm_steps(x: FactorState, data: IndexedDataset, h: Hyperparams, kind: OptimizerKind):
+    "SGDM passes over data, each in a seeded shuffled order; each yields its length."
+    t = data.base
+    velocity = np.zeros_like(x.table)  # carried across epochs
+    for epoch in count(1):
+        rng = np.random.default_rng((h.seed, epoch))
+        # a diverging run overflows here; train's finiteness check names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            _sgdm_epoch(t.users, t.services, t.values, rng.permutation(len(t)), x.table, velocity,
+                        x.num_users, kind.learning_rate, kind.momentum, h.lambda_r2)
+        yield len(t)
 
 
 def train(split: SplitDataset, h: Hyperparams,
@@ -253,33 +265,21 @@ def train(split: SplitDataset, h: Hyperparams,
     """
     if kind is None:
         kind = OptimizerKind.drslf()
-    if kind.name in ("SLF", "SGDM") and h.lambda_r1 != 0:
-        h = replace(h, lambda_r1=0.0)
-
     t = split.train.base
     x = init_factors(t.num_users, t.num_services, h)
+    if kind.name == "SGDM":
+        steps = _sgdm_steps(x, split.train, h, kind)
+    else:  # SLF is the second-order step without the smooth L1 term
+        steps = _second_order_steps(x, split.train, h if kind.name == "DRSLF"
+                                    else replace(h, lambda_r1=0.0))
     report = TrainReport()
     best = BestSnapshot()
     bad_streak = 0
-    if kind.name == "SGDM":
-        velocity = np.zeros_like(x.table)  # carried across epochs
     stop_reason = "max_epochs"
-    # An epoch's second-order update is a pure function of x, split.train
-    # and h, and the factors never hold -0.0: init draws lo + (hi - lo) * u
-    # with (hi - lo) * u >= +0.0, and a sum with an operand that is not
-    # -0.0 is never -0.0. So an exactly zero step leaves every bit of x
-    # as it was, and every later epoch would repeat the same solve and
-    # the same zero step; those epochs keep its iteration count instead.
-    zero_step = False
 
     for epoch in range(1, h.max_epochs + 1):
         started = time.perf_counter()
-        if kind.name == "SGDM":
-            inner = _sgdm_epoch_run(x, velocity, split, h, kind, epoch)
-        elif not zero_step:
-            result = _second_order_epoch(x, split, h, epoch)
-            inner, zero_step = result.iterations, not result.delta.any()
-            del result  # holds no step vector into the next epoch's solve
+        inner = next(steps)
         wall_ms = (time.perf_counter() - started) * 1e3
 
         if not np.isfinite(x.table).all():

@@ -776,35 +776,59 @@ def test_split_and_index_peak_no_higher_on_two_workers(monkeypatch):
     assert peak(2) <= serial + 64 * 1024
 
 
-def test_grouping_in_spans_holds_no_more_at_once_than_one_serial_build(monkeypatch):
-    # the serial build, written out, frees each temporary as soon as it
-    # can; a position array kept alive through the gather would add
-    # 8 bytes per observation to the peak
-    def serial(ids, other_ids, shape):
-        n = len(ids)
-        order = ids * n
-        order += np.arange(n)
-        order.sort()
-        order %= n
-        offsets = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ids, minlength=shape[0]), out=offsets[1:])
-        sparse.csr_matrix((np.zeros(n), other_ids[order], offsets), shape=shape)
+def serial_grouping(ids, other_ids, shape):
+    "The serial grouping build, written out, freeing each temporary as soon as it can."
+    n = len(ids)
+    order = ids * n
+    order += np.arange(n)
+    order.sort()
+    order %= n
+    offsets = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=shape[0]), out=offsets[1:])
+    sparse.csr_matrix((np.zeros(n), other_ids[order], offsets), shape=shape)
 
+
+def grouping_peaks(monkeypatch):
+    "(n, traced peak of serial_grouping, traced peak of _grouped) on two workers."
     rng = np.random.default_rng(31)
     n = 3 * sddmm.MIN_SPAN
     ids, other = rng.integers(0, 3000, n), rng.integers(0, 700, n)
     monkeypatch.setattr(sddmm, "WORKERS", 2)
     _grouped(ids, other, (3000, 700))  # starts the pool, if it runs on one
     peaks = []
-    for build in (serial, _grouped):
+    for build in (serial_grouping, _grouped):
         tracemalloc.start()
         try:
             build(ids, other, (3000, 700))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= peaks[0] + 64 * 1024
+    return n, *peaks
 
+
+def test_grouping_in_spans_holds_no_more_at_once_than_one_serial_build(monkeypatch):
+    # a position array kept alive through the gather would add 8 bytes
+    # per observation to the peak
+    _, serial, grouped = grouping_peaks(monkeypatch)
+    assert grouped <= serial + 64 * 1024
+
+
+def test_grouping_writes_out_no_csr_data(monkeypatch):
+    # the csr_matrix that picks the index dtype gets a broadcast zero as
+    # its data, where the serial build writes out n float64 zeros
+    n, serial, grouped = grouping_peaks(monkeypatch)
+    assert grouped <= serial - 6 * n
+
+
+@pytest.mark.parametrize("num_other, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_grouped_index_dtype_follows_scipy(num_other, dtype):
+    ids, other = np.array([0, 2, 1, 2]), np.array([5, num_other - 1, 0, 3])
+    g = _grouped(ids, other, (3, num_other))
+    assert g.indices.dtype == g.indptr.dtype == dtype
+    assert sparse.csr_matrix((np.zeros(4), other[g.order], [0, 1, 2, 4]),
+                             shape=(3, num_other)).indices.dtype == dtype
+    assert g.indices.tolist() == [5, 0, num_other - 1, 3]
+    assert g.indptr.tolist() == [0, 1, 2, 4]
 
 
 def test_split_sizes_follow_floor_rule():

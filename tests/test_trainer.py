@@ -2,6 +2,7 @@
 
 import importlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -194,6 +195,23 @@ def test_sgdm_kernel_matches_scalar_reference(case):
         np.testing.assert_array_equal(g, w)
 
 
+def test_sgdm_carries_velocity_across_epochs():
+    # train's epochs are the scalar loop's epochs in train's seeded
+    # shuffles, with one velocity table carried from each into the next
+    sp = make_split()
+    h = so_params(max_epochs=3, patience=3, lambda_r2=1e-3)
+    got, report = train(sp, h, OptimizerKind.sgdm(0.05, 0.6))
+    assert report.best_epoch == 3  # so the returned snapshot is the last epoch's
+    t = sp.train.base
+    want = init_factors(t.num_users, t.num_services, h)
+    xu, xs = want.user_factors, want.service_factors
+    orders = [np.random.default_rng((h.seed, e)).permutation(len(t)) for e in (1, 2, 3)]
+    sgdm_scalar_reference(t.users, t.services, t.values, orders, xu, xs,
+                          np.zeros_like(xu), np.zeros_like(xs), 0.05, 0.6, h.lambda_r2)
+    np.testing.assert_array_equal(got.user_factors, xu)
+    np.testing.assert_array_equal(got.service_factors, xs)
+
+
 # ------------------------------------------------------------- early stopping
 
 def test_patience_stop_semantics():
@@ -355,6 +373,33 @@ def test_stepping_run_solves_every_epoch(monkeypatch, kind):
     assert [r.inner_iters for r in report.epochs] == [s.iterations for s in solves]
 
 
+def test_no_epoch_holds_its_solve_into_the_next(monkeypatch):
+    # when an epoch builds its context, the last epoch's context, gradient,
+    # CG result and step are gone: none is held through the RMSE passes
+    refs, live = [], []
+
+    def tracked(fn, *parts):
+        "fn, keeping a weakref to its result and to the named fields of it"
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            refs.extend(weakref.ref(o) for o in (out, *(getattr(out, p) for p in parts)))
+            return out
+        return call
+
+    build = tracked(CurvatureContext)
+
+    def context(*args):
+        live.append(sum(ref() is not None for ref in refs))
+        return build(*args)
+
+    monkeypatch.setattr(train_mod, "CurvatureContext", context)
+    monkeypatch.setattr(train_mod, "gradient", tracked(gradient))
+    monkeypatch.setattr(train_mod, "cg_solve", tracked(cg_solve, "delta"))
+    train(make_split(), so_params(max_epochs=4, patience=50))
+    assert len(refs) == 4 * 4  # a context, gradient, result and step per epoch
+    assert live == [0, 0, 0, 0]
+
+
 # ------------------------------------------------------------------ failures
 
 def test_sgdm_divergence_reports_epoch():
@@ -381,6 +426,20 @@ def test_cg_failure_carries_epoch_index(monkeypatch):
     sp = make_split()
     with pytest.raises(IndefiniteOperatorError, match=r"epoch 1: <p, A p>"):
         train(sp, so_params())
+
+
+def test_cg_failure_names_the_epoch_it_happened_in(monkeypatch):
+    calls = []
+
+    def third_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise IndefiniteOperatorError("<p, A p> = -1.0 at iteration 1")
+        return cg_solve(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "cg_solve", third_fails)
+    with pytest.raises(IndefiniteOperatorError, match=r"^epoch 3: <p, A p>"):
+        train(make_split(), so_params(max_epochs=6, patience=50))
 
 
 # ----------------------------------------------------------------- recovery
