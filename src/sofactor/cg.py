@@ -15,12 +15,17 @@ the gap at 1e-12.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .sddmm import dot
+
+# entries per block of the iterate and residual updates: each update's
+# temporaries are a block long, 512 kB, not a parameter vector
+UPDATE_BLOCK = 65_536
 
 
 class NonFiniteOperatorError(RuntimeError):
@@ -67,18 +72,15 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         raise NonFiniteOperatorError("right-hand side contains non-finite values")
 
     r = -g
-    delta = np.zeros_like(r)
     r_inf = float(np.abs(r).max()) if len(r) else 0.0
     if r_inf <= tau:
-        return CgResult(delta=delta, iterations=0,
+        return CgResult(delta=np.zeros_like(r), iterations=0,
                         final_residual_inf=r_inf, converged=True)
 
-    best_delta = np.zeros_like(r)
+    delta = np.zeros_like(r)
+    best_delta = None  # set once an iterate improves on delta = 0
     best_inf = r_inf
     p = r.copy()
-    # scratch for alpha * p, alpha * A p and |r| in turn, allocated after
-    # the first product so that it is not live inside it
-    step = None
     rs = dot(r, r)
     iterations = 0
     while True:
@@ -91,14 +93,18 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
             raise IndefiniteOperatorError(
                 f"<p, A p> = {pap!r} at iteration {iterations + 1}")
         alpha = rs / pap
-        step = np.multiply(alpha, p, out=step)
-        delta += step
-        r -= np.multiply(alpha, ap, out=step)
         iterations += 1
-        if not np.isfinite(r).all():
-            raise NonFiniteOperatorError(
-                f"residual non-finite at iteration {iterations}")
-        r_inf = float(np.abs(r, out=step).max())
+        # delta += alpha * p, r -= alpha * A p and max |r|, a block at a time
+        r_inf = 0.0
+        for lo in range(0, len(r), UPDATE_BLOCK):
+            b = slice(lo, lo + UPDATE_BLOCK)
+            delta[b] += alpha * p[b]
+            r[b] -= alpha * ap[b]
+            block_inf = float(np.abs(r[b]).max())
+            if not math.isfinite(block_inf):
+                raise NonFiniteOperatorError(
+                    f"residual non-finite at iteration {iterations}")
+            r_inf = max(r_inf, block_inf)
         last = r_inf <= tau or iterations == max_iters
         if r_inf < best_inf:
             best_inf = r_inf
@@ -111,6 +117,11 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         p *= rs_next / rs
         p += r
         rs = rs_next
+        del ap  # freed before the next product is made
 
+    if best_delta is None:
+        # no iterate improved: the zeros are made once the vectors are freed
+        del r, p, ap, delta
+        best_delta = np.zeros_like(g)
     return CgResult(delta=best_delta, iterations=iterations,
                     final_residual_inf=best_inf, converged=best_inf <= tau)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import IndexedDataset
 from .model import FactorState, Hyperparams, entity_counts, jacobian_transpose_vector
-from .sddmm import sampled_dots
+from .sddmm import BLOCK_ROWS, sampled_dots
 
 
 class CurvatureContext:
@@ -35,10 +35,12 @@ class CurvatureContext:
     absent otherwise, and an L2 column of per-row weights) and one J v
     scratch buffer. Every product is one blocked gather pass in the train
     set's user-major order (J v reads its factor rows from x block by block,
-    holding no per-observation copy) plus two sparse accumulations. The
-    context must be treated as read-only and rebuilt whenever x changes: it
-    keeps a reference to x, so mutating x while a context is live
-    invalidates it.
+    holding no per-observation copy) plus two sparse accumulations; its
+    diagonal terms are added to the J^T J v output BLOCK_ROWS rows at a
+    time. So a one-iteration CG solve on the context holds r, p, delta and
+    the product, four parameter vectors, plus the J v scratch. The context
+    must be treated as read-only and rebuilt whenever x changes: it keeps
+    a reference to x, so mutating x while a context is live invalidates it.
     """
 
     def __init__(self, x: FactorState, data: IndexedDataset, h: Hyperparams):
@@ -92,12 +94,20 @@ class CurvatureContext:
         gamma > 0. At lambda_r1 = 0 the L1 product is not added: it is
         all zeros, and the Gauss-Newton part is never -0.0 (its sums
         start at +0.0), so adding it would change no bit.
+
+        The L1, L2 and gamma terms are added, in that order, into the
+        Gauss-Newton output BLOCK_ROWS rows at a time: beside the
+        context's J v scratch, a product holds only its output.
         """
         v = np.asarray(v, dtype=np.float64)
         out = self.gn_hvp(v)
-        if self._l1_diag is not None:
-            out += self.reg_l1_hvp(v)
-        out += self.reg_l2_hvp(v)
-        if self.h.gamma != 0:
-            out += self.h.gamma * v
+        table, vt = self.x.as_table(out), self.x.as_table(v)
+        for lo in range(0, len(vt), BLOCK_ROWS):  # block-long temporaries
+            rows = slice(lo, lo + BLOCK_ROWS)
+            o, vb = table[rows], vt[rows]
+            if self._l1_diag is not None:
+                o += self._l1_diag[rows] * vb
+            o += self._l2_diag[rows] * vb
+            if self.h.gamma != 0:
+                o += self.h.gamma * vb
         return out

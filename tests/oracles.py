@@ -1,5 +1,7 @@
 """Reference implementations that the tests compare the library against,
-and fixture writers that only the tests use."""
+fixture writers and a memory probe that only the tests use."""
+
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,6 +18,16 @@ def predict(x: FactorState, u: int, s: int) -> float:
     if not 0 <= s < x.num_services:
         raise IndexError(f"service id {s} out of range")
     return float(x.user_factors[u] @ x.service_factors[s])
+
+
+def traced_peak(fn):
+    """fn() and the peak, in bytes, of what tracemalloc saw allocated
+    while it ran: its peak above the start, counting what it returns."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_dense_matrix(path, t: TripleSet, missing: float = -1.0) -> None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sofactor import sddmm
 from sofactor.cg import (
     CgResult,
     IndefiniteOperatorError,
@@ -10,6 +11,9 @@ from sofactor.cg import (
     cg_solve,
 )
 from sofactor.sddmm import dot
+
+from oracles import traced_peak
+from test_curvature import BLOCK_ALLOWANCE, wide_problem
 
 
 def random_spd(rng, n):
@@ -153,6 +157,30 @@ def test_improving_iterate_makes_one_product_per_iteration():
         assert len(calls) == res.iterations
 
 
+def test_one_iteration_solve_holds_four_vectors(monkeypatch):
+    # r, p, delta and the product: the updates run a block at a time
+    monkeypatch.setattr(sddmm, "WORKERS", 1)
+    ctx, g = wide_problem()
+    cg_solve(ctx.damped_hvp, g, tau=1e-30, max_iters=1)  # no first-call allocation traced
+    res, peak = traced_peak(lambda: cg_solve(ctx.damped_hvp, g, tau=1e-30, max_iters=1))
+    assert res.iterations == 1 and res.delta.any()
+    assert peak <= 4 * g.nbytes + BLOCK_ALLOWANCE
+
+
+def test_solve_without_improvement_holds_four_vectors_and_returns_zeros():
+    # the curvature of the zero-step test above, repeated to 2^20 entries:
+    # no iterate improves, and the zeros returned are made only at the end
+    n = 2**20
+    a = np.resize(10.0 ** np.array([1.7, -1.6, -3.6, -3.9, 3.3, 4.2]), n)
+    g = np.resize(np.array([2.1, 4.6, 0.9, 8.7, 6.3, -9.9]), n)
+    res, peak = traced_peak(lambda: cg_solve(lambda p: a * p, g, tau=1e-6, max_iters=2))
+    assert res.iterations == 2 and not res.converged
+    assert res.delta.dtype == np.float64 and res.delta.shape == g.shape
+    assert not res.delta.any()
+    assert res.final_residual_inf == float(np.abs(g).max())
+    assert peak <= 4 * g.nbytes + BLOCK_ALLOWANCE
+
+
 @pytest.mark.parametrize("lambda_r1", [0.0, 0.05])
 def test_recurrence_residual_matches_true_residual_on_curvature(lambda_r1):
     # the reported residual is the recurrence's; on the real operator it
@@ -197,6 +225,12 @@ def test_nonfinite_operator_raises():
         cg_solve(bad, np.array([3.0, 3.0]), tau=1e-10, max_iters=5)
     with pytest.raises(NonFiniteOperatorError, match="right-hand side"):
         cg_solve(lambda p: p, np.array([np.inf, 0.0]), tau=1e-10, max_iters=5)
+
+
+def test_overflowing_residual_raises():
+    # r . r overflows to inf, so alpha = inf / inf and the residual is nan
+    with pytest.raises(NonFiniteOperatorError, match="residual non-finite at iteration 1"):
+        cg_solve(lambda p: p, np.full(3, 1e154), tau=1e-10, max_iters=5)
 
 
 def test_parameter_validation():

@@ -3,17 +3,19 @@
 import numpy as np
 import pytest
 
+from sofactor import sddmm
 from sofactor.curvature import CurvatureContext
 from sofactor.data import TripleSet, build_index
 from sofactor.model import (
     FactorState,
     Hyperparams,
+    gradient,
     l1_gradient,
     l2_gradient,
     predict_observed,
 )
 
-from oracles import dense_gn_oracle
+from oracles import dense_gn_oracle, traced_peak
 from test_model import random_problem
 
 
@@ -227,3 +229,33 @@ def test_context_rejects_mismatched_dimensions():
     wrong = FactorState(f=1, user_factors=np.zeros((3, 1)), service_factors=np.zeros((1, 1)))
     with pytest.raises(ValueError, match="do not match"):
         CurvatureContext(wrong, d, Hyperparams(f=1))
+
+
+# What a damped product or a solve may hold beyond its parameter vectors:
+# CG's finiteness mask of the product (an eighth of a vector, 1 MB here)
+# and the temporaries of one block of each pass
+BLOCK_ALLOWANCE = 2 * 2**20
+
+
+def wide_problem():
+    """A context and its gradient on 40,000 users and 10,000 services at
+    f = 20 with 100,000 observations: an 8 MB parameter vector, and few
+    observations per block of groups, so blocks stay small beside it."""
+    rng = np.random.default_rng(5)
+    nu, ns, f, n = 40_000, 10_000, 20, 100_000
+    cells = rng.choice(nu * ns, size=n, replace=False)
+    d = build_index(TripleSet(nu, ns, cells // ns, cells % ns, rng.uniform(1, 5, n)))
+    x = FactorState(f=f, user_factors=rng.uniform(0.2, 1.2, (nu, f)),
+                    service_factors=rng.uniform(0.2, 1.2, (ns, f)))
+    h = Hyperparams(f=f, lambda_r1=0.01, lambda_r2=1e-3, gamma=100.0)
+    return CurvatureContext(x, d, h), gradient(x, d, h)
+
+
+def test_damped_hvp_holds_only_its_product(monkeypatch):
+    # the diagonal terms are added a block of rows at a time, so beside
+    # the J v scratch, made with the context, a product holds its output
+    monkeypatch.setattr(sddmm, "WORKERS", 1)
+    ctx, g = wide_problem()
+    ctx.damped_hvp(g)  # so that no first-call allocation is traced
+    _, peak = traced_peak(lambda: ctx.damped_hvp(g))
+    assert peak <= g.nbytes + BLOCK_ALLOWANCE

@@ -5,7 +5,6 @@ python dictionaries; file formats against hand-written fixtures.
 """
 
 import copy
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +30,7 @@ from sofactor.data import (
 from sofactor.model import Hyperparams, init_factors
 from sofactor.sddmm import run_spans
 
-from oracles import write_dense_matrix
+from oracles import traced_peak, write_dense_matrix
 
 
 def small_set():
@@ -764,13 +763,12 @@ def test_split_and_index_peak_no_higher_on_two_workers(monkeypatch):
     def peak(workers):
         monkeypatch.setattr(sddmm, "WORKERS", workers)
         split(t, 0.8, 0.1, seed=0)  # starts the pool, if it runs on one
-        tracemalloc.start()
-        try:
+
+        def split_and_index():
             sp = split(t, 0.8, 0.1, seed=0)
             build_index(sp.test.base)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        return traced_peak(split_and_index)[1]
 
     serial = peak(1)
     assert peak(2) <= serial + 64 * 1024
@@ -795,14 +793,8 @@ def grouping_peaks(monkeypatch):
     ids, other = rng.integers(0, 3000, n), rng.integers(0, 700, n)
     monkeypatch.setattr(sddmm, "WORKERS", 2)
     _grouped(ids, other, (3000, 700))  # starts the pool, if it runs on one
-    peaks = []
-    for build in (serial_grouping, _grouped):
-        tracemalloc.start()
-        try:
-            build(ids, other, (3000, 700))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(lambda: build(ids, other, (3000, 700)))[1]
+             for build in (serial_grouping, _grouped)]
     return n, *peaks
 
 
