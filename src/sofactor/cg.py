@@ -108,8 +108,12 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         last = r_inf <= tau or iterations == max_iters
         if r_inf < best_inf:
             best_inf = r_inf
-            # no later iteration moves the last iterate: it needs no copy
-            best_delta = delta if last else delta.copy()
+            if last:  # no later iteration moves the last iterate: it needs no copy
+                best_delta = delta
+            elif best_delta is None:
+                best_delta = delta.copy()
+            else:  # into the one copy, so that no two are ever held
+                np.copyto(best_delta, delta)
         if last:
             break
         # r + beta * p, formed in p: the same product, and a sum that commutes

@@ -32,6 +32,7 @@ import scipy.sparse as sp
 
 from .sddmm import BLOCK_ROWS, run_spans, sampled_dots, span_bounds
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _TRIPLE = np.dtype([("u", "i8"), ("s", "i8"), ("v", "f8")])
 _ID = re.compile(r"[+-]?[0-9]+")
@@ -45,11 +46,16 @@ class TripleSet:
     """The known set of a user-by-service matrix, stored as parallel arrays.
 
     ``users``, ``services`` and ``values`` have one entry per observation,
-    in file/order of construction. Invariants checked on construction:
-    ids in range, values finite, no duplicate (user, service) pair, and
-    ``max(num_users * num_services, max(num_users, num_services) * len)``
-    within int64, so that the sort keys of the duplicate check and of
-    ``build_index`` are exact.
+    in file/order of construction: contiguous ids in the index dtype of
+    the shape (``_id_dtype``: int32 unless a dimension exceeds 2^31 - 1,
+    scipy's rule for a CSR matrix of that shape) and float64 values, 16
+    bytes per observation in the int32 case. Invariants checked on
+    construction: ids in range, values finite, no duplicate (user,
+    service) pair, and ``max(num_users * num_services, max(num_users,
+    num_services) * len)`` within int64, so that the sort keys of the
+    duplicate check and of ``build_index``, formed in int64, are exact.
+    The ids are range-checked as the caller gave them, read as int64,
+    before they are narrowed: a narrowing cast would wrap silently.
 
     Two callers inside this module build sets whose contents already
     hold these invariants through ``_trusted``, which keeps the dtype
@@ -66,7 +72,7 @@ class TripleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        self._normalise()
+        self._normalise(np.int64)
         nu, ns = int(self.num_users), int(self.num_services)
         if len(self) > 0:
             if self.users.min() < 0 or self.services.min() < 0:
@@ -75,11 +81,13 @@ class TripleSet:
                 raise ValueError(f"user id {self.users.max()} out of range (num_users={nu})")
             if self.services.max() >= ns:
                 raise ValueError(f"service id {self.services.max()} out of range (num_services={ns})")
+        self._normalise(_id_dtype(nu, ns))  # the ids are in range: narrowing keeps them
+        if len(self) > 0:
             if not np.isfinite(self.values).all():
                 raise ValueError("non-finite observation value")
             # sorted pair keys; equal neighbours are a repeated pair, and the
             # first of them is the smallest such (user, service)
-            keys = self.users * ns
+            keys = np.multiply(self.users, ns, dtype=np.int64)
             keys += self.services
             keys.sort()
             dup = keys[1:] == keys[:-1]
@@ -87,10 +95,10 @@ class TripleSet:
                 u, s = divmod(int(keys[np.argmax(dup)]), ns)
                 raise ValueError(f"duplicate (user, service) pair ({u}, {s})")
 
-    def _normalise(self):
-        "int64/float64 contiguous arrays, and the checks that take O(1)."
-        object.__setattr__(self, "users", np.ascontiguousarray(self.users, dtype=np.int64))
-        object.__setattr__(self, "services", np.ascontiguousarray(self.services, dtype=np.int64))
+    def _normalise(self, id_dtype):
+        "Contiguous id_dtype ids and float64 values, and the checks that take O(1)."
+        object.__setattr__(self, "users", np.ascontiguousarray(self.users, dtype=id_dtype))
+        object.__setattr__(self, "services", np.ascontiguousarray(self.services, dtype=id_dtype))
         object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
         if not (len(self.users) == len(self.services) == len(self.values)):
             raise ValueError("users/services/values length mismatch")
@@ -107,6 +115,12 @@ class TripleSet:
         return len(self.users)
 
 
+def _id_dtype(num_users: int, num_services: int):
+    """The dtype of a TripleSet's ids: scipy's CSR index dtype for a
+    matrix of that shape, int32 unless a dimension exceeds 2^31 - 1."""
+    return np.int32 if max(num_users, num_services) <= _INT32_MAX else np.int64
+
+
 def _trusted(num_users, num_services, users, services, values) -> TripleSet:
     """A TripleSet whose ids the caller knows to be in range and pairwise
     distinct, and whose values it knows to be finite: built without the
@@ -114,7 +128,7 @@ def _trusted(num_users, num_services, users, services, values) -> TripleSet:
     t = object.__new__(TripleSet)
     t.__dict__.update(num_users=num_users, num_services=num_services,
                       users=users, services=services, values=values)
-    t._normalise()
+    t._normalise(_id_dtype(int(num_users), int(num_services)))
     return t
 
 
@@ -314,7 +328,8 @@ def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedInde
 
     The keys ``ids * n + position`` are unique and sort by id, then by
     position, so ``key % n`` is the stable grouping order whatever
-    algorithm ``np.sort`` uses. TripleSet bounds every key to int64.
+    algorithm ``np.sort`` uses. They are formed in int64 whatever the
+    ids' dtype, and TripleSet bounds every key to int64.
     The key build, the remainder and the gather of ``other_ids`` run
     over ``span_bounds`` on the pool of ``sddmm``; the sort cannot.
     """
@@ -323,7 +338,7 @@ def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedInde
     position = np.arange(n)
 
     def keys(lo, hi):
-        np.multiply(ids[lo:hi], n, out=order[lo:hi])
+        np.multiply(ids[lo:hi], n, out=order[lo:hi], dtype=np.int64)
         order[lo:hi] += position[lo:hi]
 
     def unkey(lo, hi):
@@ -418,11 +433,15 @@ def load_dense_matrix(path) -> TripleSet:
     if len(matrix) != _count_lines(path):
         raise _dense_error(path, "np.loadtxt skipped a line") from None
     keep = matrix >= 0
-    # np.nonzero(keep), from one flat scan: each row's kept cells in
-    # row-major order, the row repeated once per kept cell
+    # np.nonzero(keep), from one flat scan, in the ids' final dtype: each
+    # row's kept cells in row-major order, the row repeated once per kept
+    # cell; the cell offsets users * cols are formed in int64
     rows, cols = matrix.shape
-    users = np.repeat(np.arange(rows, dtype=np.int64), np.count_nonzero(keep, axis=1))
-    services = np.flatnonzero(keep) - users * cols
+    dtype = _id_dtype(rows, cols)
+    users = np.repeat(np.arange(rows, dtype=dtype), np.count_nonzero(keep, axis=1))
+    services = np.empty(len(users), dtype=dtype)
+    np.subtract(np.flatnonzero(keep), np.multiply(users, cols, dtype=np.int64),
+                out=services, casting="same_kind")
     values = matrix[keep]  # row-major, the order of the ids
     finite = np.isfinite(values)
     if not finite.all():

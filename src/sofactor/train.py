@@ -187,7 +187,7 @@ def _sgdm_epoch(users, services, values, order, X, V, num_users,
     at = np.arange(len(order))
     idx = np.empty(2 * len(order), dtype=np.int64)
     idx[at + ends[level - 1]] = u_seq[by_level]
-    idx[at + ends[level]] = s_seq[by_level] + num_users
+    idx[at + ends[level]] = np.add(s_seq[by_level], num_users, dtype=np.int64)
 
     terms = np.empty((f + 1, np.diff(ends).max(initial=0)))
     ends = ends.tolist()

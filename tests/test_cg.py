@@ -167,6 +167,19 @@ def test_one_iteration_solve_holds_four_vectors(monkeypatch):
     assert peak <= 4 * g.nbytes + BLOCK_ALLOWANCE
 
 
+def test_solve_of_improving_iterates_holds_five_vectors(monkeypatch):
+    # r, p, delta, the product and one copy of the best iterate: each
+    # later improving iterate is copied into that one copy
+    monkeypatch.setattr(sddmm, "WORKERS", 1)
+    ctx, g = wide_problem()
+    best = [float(np.abs(g).max())] + [
+        cg_solve(ctx.damped_hvp, g, tau=1e-30, max_iters=k).final_residual_inf for k in (1, 2, 3)]
+    assert best[3] < best[2] < best[1] < best[0]  # all three iterates improve
+    res, peak = traced_peak(lambda: cg_solve(ctx.damped_hvp, g, tau=1e-30, max_iters=3))
+    assert res.iterations == 3 and res.final_residual_inf == best[3]
+    assert peak <= 5 * g.nbytes + BLOCK_ALLOWANCE
+
+
 def test_solve_without_improvement_holds_four_vectors_and_returns_zeros():
     # the curvature of the zero-step test above, repeated to 2^20 entries:
     # no iterate improves, and the zeros returned are made only at the end

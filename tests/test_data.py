@@ -113,6 +113,42 @@ def test_tripleset_accepts_grouping_keys_just_inside_int64():
     assert len(t) == 3
 
 
+@pytest.mark.parametrize("users, msg", [
+    ([-2**40, 1], "negative id"),
+    ([2**32 + 1, 0], r"user id 4294967297 out of range \(num_users=6\)"),
+])
+def test_tripleset_checks_ids_before_narrowing_them(users, msg):
+    # -2**40 and 2**32 + 1 both read as a valid id once cast to int32
+    with pytest.raises(ValueError, match=msg):
+        TripleSet(6, 2, np.array(users), np.array([0, 1]), np.ones(2))
+
+
+def test_pair_keys_of_int32_ids_are_formed_in_int64():
+    # 2**30 * 4 wraps to 0 in int32, the key of pair (0, 0)
+    assert len(TripleSet(2**30 + 1, 4, np.array([0, 2**30]), np.array([0, 0]), np.ones(2))) == 2
+
+
+@pytest.mark.parametrize("dim, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_id_dtype_is_the_index_dtype_of_the_groupings(dim, dtype):
+    # either dimension decides; the grouping by the other entity is the
+    # one whose index holds ids below dim
+    by_service = TripleSet(1, dim, np.array([0]), np.array([dim - 1]), np.ones(1))
+    by_user = TripleSet(dim, 1, np.array([dim - 1]), np.array([0]), np.ones(1))
+    for t, grouping in ((by_service, "by_user"), (by_user, "by_service")):
+        assert t.users.dtype == t.services.dtype == dtype
+        assert getattr(IndexedDataset(t), grouping).indices.dtype == dtype
+
+
+def test_loaded_sets_and_split_parts_hold_16_bytes_per_observation(tmp_path):
+    t = synth_lowrank(30, 40, 2, 0.5, 0.01, seed=3)[0]
+    write_dense_matrix(tmp_path / "m.txt", t)
+    write_triples(tmp_path / "t.txt", t)
+    dense, triples = load_dense_matrix(tmp_path / "m.txt"), load_triples(tmp_path / "t.txt")
+    sp = split(triples, 0.5, 0.25, seed=0)
+    for part in (dense, triples, sp.train.base, sp.validation.base, sp.test.base):
+        assert part.users.nbytes + part.services.nbytes + part.values.nbytes == 16 * len(part)
+
+
 @pytest.mark.parametrize("make", [
     small_set,
     lambda: build_index(small_set()).by_user,
@@ -292,6 +328,7 @@ def test_load_triples_error_cites_file_line_after_comments_and_blanks(tmp_path):
     ("0 0 1.0\n-1 0 1.0\n0 0 2.0\n", "2: negative id"),
     ("1 1 inf\n0 0 1.0\n0 0 2.0\n0 x 1\n", "4: malformed record"),
     ("2 2 1.0\n1 1 1.0\n2 2 1.0\n1 1 1.0\n", r"3: duplicate pair \(2, 2\), first seen on line 1"),
+    ("-1099511627776 0 1.0\n0 1 2.0\n", "1: negative id$"),  # -2**40 is 0 in int32
 ])
 def test_load_triples_names_first_unparsable_else_first_bad_record(tmp_path, body, msg):
     p = tmp_path / "t.txt"
@@ -504,6 +541,15 @@ def test_grouped_order_is_stable_argsort(n, num_ids):
     assert np.array_equal(g.order, np.argsort(ids, kind="stable"))
     assert np.array_equal(g.indices, other[g.order])
     assert np.array_equal(g.counts, np.bincount(ids, minlength=num_ids))
+
+
+def test_grouping_keys_of_int32_ids_are_formed_in_int64():
+    # 65,535 * 40,000 wraps in int32: the keys would no longer sort by id
+    rng = np.random.default_rng(37)
+    n = 40_000
+    users = rng.integers(65_000, 65_536, n)
+    d = build_index(TripleSet(65_536, n, users, np.arange(n), np.ones(n)))
+    assert np.array_equal(d.by_user.order, np.argsort(users, kind="stable"))
 
 
 def test_index_preserves_observation_order_within_group():
