@@ -32,8 +32,16 @@ import scipy.sparse as sp
 
 from .sddmm import BLOCK_ROWS, run_spans, sampled_dots, span_bounds
 
-_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+# Set-up's passes over a span go a block at a time, so that they hold
+# nothing of one entry per observation beyond their outputs. The passes
+# that add positions read them from one shared arange of SETUP_BLOCK
+# entries and allocate nothing per block; on 2 workers, 2,048-entry
+# blocks took the key pass of a 1.6M-observation grouping from 4 to
+# 16-20 ms, as each numpy call's dispatch, under the GIL, outweighed its
+# work. The gathers that make a temporary go BLOCK_ROWS at a time, so a
+# worker thread's temporaries stay at 16 KiB.
+SETUP_BLOCK = 16_384
 _TRIPLE = np.dtype([("u", "i8"), ("s", "i8"), ("v", "f8")])
 _ID = re.compile(r"[+-]?[0-9]+")
 
@@ -46,10 +54,12 @@ class TripleSet:
     """The known set of a user-by-service matrix, stored as parallel arrays.
 
     ``users``, ``services`` and ``values`` have one entry per observation,
-    in file/order of construction: contiguous ids in the index dtype of
-    the shape (``_id_dtype``: int32 unless a dimension exceeds 2^31 - 1,
-    scipy's rule for a CSR matrix of that shape) and float64 values, 16
-    bytes per observation in the int32 case. Invariants checked on
+    in file/order of construction: contiguous ids in the narrowest signed
+    integer type that holds both dimensions (``_id_dtype``: int16 up to
+    32,767, as on the WS-DREAM shape, int32 up to 2^31 - 1, else int64)
+    and float64 values, 12 bytes per observation with int16 ids and 16
+    with int32 ones. Every sum or product of ids is formed in int64 or
+    in Python ints, never in the ids' own dtype. Invariants checked on
     construction: ids in range, values finite, no duplicate (user,
     service) pair, and ``max(num_users * num_services, max(num_users,
     num_services) * len)`` within int64, so that the sort keys of the
@@ -116,9 +126,13 @@ class TripleSet:
 
 
 def _id_dtype(num_users: int, num_services: int):
-    """The dtype of a TripleSet's ids: scipy's CSR index dtype for a
-    matrix of that shape, int32 unless a dimension exceeds 2^31 - 1."""
-    return np.int32 if max(num_users, num_services) <= _INT32_MAX else np.int64
+    """The dtype of a TripleSet's ids: the narrowest signed integer type
+    that holds both dimensions, so every id and every ``id + 1``: int16
+    when both are at most 32,767, int32 up to 2^31 - 1, else int64."""
+    for dtype in (np.int16, np.int32):
+        if max(num_users, num_services) <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
 
 
 def _trusted(num_users, num_services, users, services, values) -> TripleSet:
@@ -322,6 +336,11 @@ class SplitDataset:
     test: IndexedDataset
 
 
+def _blocks(lo: int, hi: int, size: int):
+    "The (start, stop) bounds of the blocks of range(lo, hi), size entries at most."
+    return ((a, min(a + size, hi)) for a in range(lo, hi, size))
+
+
 def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedIndex:
     """Group observations by ``ids`` (each below ``shape[0]``), keeping
     their order inside each group.
@@ -331,29 +350,42 @@ def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedInde
     algorithm ``np.sort`` uses. They are formed in int64 whatever the
     ids' dtype, and TripleSet bounds every key to int64.
     The key build, the remainder and the gather of ``other_ids`` run
-    over ``span_bounds`` on the pool of ``sddmm``; the sort cannot.
+    over ``span_bounds`` on the pool of ``sddmm``; the sort cannot. The
+    gather writes at least 32-bit ids, scipy's least index dtype, so
+    scipy keeps it as its indices. The keys take their positions, and
+    int16 ids are widened, a block at a time; with the group bounds found
+    in the sorted keys, the build holds nothing of n entries beyond its
+    outputs.
     """
     n = len(ids)
     order = np.empty(n, dtype=np.int64)
-    position = np.arange(n)
+    other = np.empty(n, dtype=np.promote_types(other_ids.dtype, np.int32))
+    steps = np.arange(min(SETUP_BLOCK, n))  # block a's positions are a + steps
 
     def keys(lo, hi):
-        np.multiply(ids[lo:hi], n, out=order[lo:hi], dtype=np.int64)
-        order[lo:hi] += position[lo:hi]
+        for a, b in _blocks(lo, hi, SETUP_BLOCK):
+            key = order[a:b]
+            key[...] = ids[a:b]  # a cast by assignment needs no buffer
+            key *= n
+            key += steps[:b - a]
+            key += a
 
     def unkey(lo, hi):
         order[lo:hi] %= n
-        # order now holds a permutation of range(n), so clip never clips
-        np.take(other_ids, order[lo:hi], out=other[lo:hi], mode="clip")
+        if other.dtype == other_ids.dtype:
+            # order now holds a permutation of range(n), so clip never clips
+            np.take(other_ids, order[lo:hi], out=other[lo:hi], mode="clip")
+        else:  # take() cannot widen into out=
+            for a, b in _blocks(lo, hi, BLOCK_ROWS):
+                other[a:b] = other_ids.take(order[a:b])
 
     bounds = span_bounds(n)
     run_spans(keys, bounds)
-    del position  # freed before other is allocated: the two are never live at once
+    del steps
     order.sort()
-    other = np.empty(n, dtype=other_ids.dtype)
+    # group i starts at its first key at or above i * n
+    offsets = np.searchsorted(order, np.arange(shape[0] + 1) * n)
     run_spans(unkey, bounds)
-    offsets = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ids, minlength=shape[0]), out=offsets[1:])
     # scipy picks the index dtype for shape; its data is one zero, broadcast
     m = sp.csr_matrix((np.broadcast_to(0.0, n), other, offsets), shape=shape)
     return RaggedIndex(shape=shape, order=order, indices=m.indices, indptr=m.indptr)
@@ -587,7 +619,13 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     """Partition a TripleSet into train/validation/test by a seeded shuffle.
 
     Sizes are floor(|t| * train_frac) and floor(|t| * val_frac); the test
-    part takes the remainder. Same seed, same input -> identical split.
+    part takes the remainder. Same seed, same input -> identical split:
+    the parts hold t in the order of ``default_rng(seed).permutation(n)``,
+    train first. They are contiguous slices of one buffer per column,
+    12 or 16 bytes per observation as in t, and no permutation is held
+    beside them: it is drawn into the values buffer, which the values
+    then overwrite. The fill and the gathers run over ``span_bounds`` on
+    the pool of ``sddmm``; the shuffle, one random stream, cannot.
     Only the train part's groupings are built here, in set-up; the
     validation and test parts build theirs on first use, if any, since
     evaluation reads only ``base``.
@@ -601,28 +639,43 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
         raise ValueError(
             f"{n} observations cannot give every part >= 1 element "
             f"(sizes {n_train}/{n_val}/{n_test})")
-    perm = np.random.default_rng(seed).permutation(n)
+    # one buffer per column, filled in permuted order; the permutation is
+    # drawn into the values buffer as default_rng(seed).permutation(n)
+    # draws it, an arange shuffled in place, and each span overwrites its
+    # entries with the values they pick once it has gathered their ids
+    users = np.empty(n, dtype=t.users.dtype)
+    services = np.empty(n, dtype=t.services.dtype)
+    values = np.empty(n)
+    perm = values.view(np.int64)
+    steps = np.arange(min(SETUP_BLOCK, n))
 
-    def part(idx):
-        # idx is a slice of one permutation, so the parts are disjoint
+    def count(lo, hi):
+        for a, b in _blocks(lo, hi, SETUP_BLOCK):
+            np.add(steps[:b - a], a, out=perm[a:b])
+
+    def gather(lo, hi):
+        # perm lies in range(n), so clip never clips
+        np.take(t.users, perm[lo:hi], out=users[lo:hi], mode="clip")
+        np.take(t.services, perm[lo:hi], out=services[lo:hi], mode="clip")
+        for a, b in _blocks(lo, hi, BLOCK_ROWS):
+            values[a:b] = t.values.take(perm[a:b])
+
+    bounds = span_bounds(n)
+    run_spans(count, bounds)
+    del steps
+    np.random.default_rng(seed).shuffle(perm)
+    run_spans(gather, bounds)
+
+    def part(lo, hi):
+        # slices of one permutation's gathers, so the parts are disjoint
         # subsets of t: their ids lie in t's range, their pairs are
-        # distinct and their values finite because t's are. The gathers
-        # run on the pool of sddmm; idx lies in range(len(t)), so clip
-        # never clips
-        columns = (t.users, t.services, t.values)
-        gathered = [np.empty(len(idx), dtype=c.dtype) for c in columns]
-
-        def gather(lo, hi):
-            for c, g in zip(columns, gathered):
-                np.take(c, idx[lo:hi], out=g[lo:hi], mode="clip")
-
-        run_spans(gather, span_bounds(len(idx)))
-        return _trusted(t.num_users, t.num_services, *gathered)
+        # distinct and their values finite because t's are
+        return _trusted(t.num_users, t.num_services, users[lo:hi], services[lo:hi], values[lo:hi])
 
     return SplitDataset(
-        train=build_index(part(perm[:n_train]), role="train"),
-        validation=IndexedDataset(part(perm[n_train:n_train + n_val]), role="validation"),
-        test=IndexedDataset(part(perm[n_train + n_val:]), role="test"))
+        train=build_index(part(0, n_train), role="train"),
+        validation=IndexedDataset(part(n_train, n_train + n_val), role="validation"),
+        test=IndexedDataset(part(n_train + n_val, n), role="test"))
 
 
 def synth_lowrank(num_users: int, num_services: int, rank: int, density: float,

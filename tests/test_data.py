@@ -128,25 +128,42 @@ def test_pair_keys_of_int32_ids_are_formed_in_int64():
     assert len(TripleSet(2**30 + 1, 4, np.array([0, 2**30]), np.array([0, 0]), np.ones(2))) == 2
 
 
-@pytest.mark.parametrize("dim, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
-def test_id_dtype_is_the_index_dtype_of_the_groupings(dim, dtype):
-    # either dimension decides; the grouping by the other entity is the
-    # one whose index holds ids below dim
+def test_pair_keys_of_int16_ids_are_formed_in_int64():
+    # 300 x 32,767 holds int16 ids; (2, 2) has key 2 * 32,767 + 2 = 65,536,
+    # which wraps to 0 in int16, the key of pair (0, 0)
+    for users, services in (([0, 299], [0, 32_766]), ([0, 2], [0, 2])):
+        t = TripleSet(300, 32_767, np.array(users), np.array(services), np.ones(2))
+        assert t.users.dtype == np.int16 and len(t) == 2
+
+
+@pytest.mark.parametrize("dim, dtype", [(32_767, np.int16), (32_768, np.int32),
+                                        (2**31 - 1, np.int32), (2**31, np.int64)])
+def test_id_dtype_is_the_narrowest_signed_type_holding_either_dimension(dim, dtype):
+    # either dimension decides; the grouping by the other entity, whose
+    # index holds ids below dim, keeps scipy's index dtype, int32 at least
     by_service = TripleSet(1, dim, np.array([0]), np.array([dim - 1]), np.ones(1))
     by_user = TripleSet(dim, 1, np.array([dim - 1]), np.array([0]), np.ones(1))
     for t, grouping in ((by_service, "by_user"), (by_user, "by_service")):
         assert t.users.dtype == t.services.dtype == dtype
-        assert getattr(IndexedDataset(t), grouping).indices.dtype == dtype
+        assert getattr(IndexedDataset(t), grouping).indices.dtype == np.promote_types(dtype, np.int32)
 
 
-def test_loaded_sets_and_split_parts_hold_16_bytes_per_observation(tmp_path):
-    t = synth_lowrank(30, 40, 2, 0.5, 0.01, seed=3)[0]
+@pytest.mark.parametrize("num_services, nbytes", [(40, 12), (32_767, 12), (32_768, 16)])
+def test_loaded_sets_and_split_parts_hold_12_bytes_per_observation_up_to_32767_and_16_above(
+        tmp_path, num_services, nbytes):
+    # user 2 and service num_services - 1 are observed, so both files load
+    # as 3 x num_services
+    rng = np.random.default_rng(3)
+    cells = np.append(rng.choice(3 * num_services - 1, 39, replace=False), 3 * num_services - 1)
+    t = TripleSet(3, num_services, cells // num_services, cells % num_services,
+                  rng.standard_normal(40))
     write_dense_matrix(tmp_path / "m.txt", t)
     write_triples(tmp_path / "t.txt", t)
     dense, triples = load_dense_matrix(tmp_path / "m.txt"), load_triples(tmp_path / "t.txt")
+    assert (dense.num_services, triples.num_services) == (num_services, num_services)
     sp = split(triples, 0.5, 0.25, seed=0)
     for part in (dense, triples, sp.train.base, sp.validation.base, sp.test.base):
-        assert part.users.nbytes + part.services.nbytes + part.values.nbytes == 16 * len(part)
+        assert part.users.nbytes + part.services.nbytes + part.values.nbytes == nbytes * len(part)
 
 
 @pytest.mark.parametrize("make", [
@@ -184,6 +201,30 @@ def test_load_dense_matrix_two_by_two(tmp_path):
     assert (t.num_users, t.num_services) == (2, 2)
     got = set(zip(t.users.tolist(), t.services.tolist(), t.values.tolist()))
     assert got == {(0, 0, 1.2), (1, 0, 0.5), (1, 1, 2.0)}
+
+
+@pytest.mark.parametrize("cols, dtype", [(32_767, np.int16), (32_768, np.int32)])
+def test_load_dense_matrix_at_either_id_width_wraps_no_id(tmp_path, cols, dtype):
+    # the cell offsets users * cols pass 32,767 at row 2
+    rows = np.full((3, cols), "-1", dtype=object)
+    rows[1, 0], rows[2, cols - 2], rows[2, cols - 1] = "0.5", "1.5", "2.5"
+    p = tmp_path / "m.txt"
+    p.write_text("".join(" ".join(row) + "\n" for row in rows))
+    t = load_dense_matrix(p)
+    assert (t.num_users, t.num_services) == (3, cols)
+    assert t.users.dtype == t.services.dtype == dtype
+    assert t.users.tolist() == [1, 2, 2]
+    assert t.services.tolist() == [0, cols - 2, cols - 1]
+    assert t.values.tolist() == [0.5, 1.5, 2.5]
+
+
+def test_load_triples_with_service_id_32767_wraps_no_id(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_text("2 32767 1.5\n0 0 2.5\n")
+    t = load_triples(p)
+    assert (t.num_users, t.num_services) == (3, 32_768)
+    assert t.users.dtype == t.services.dtype == np.int32
+    assert t.users.tolist() == [2, 0] and t.services.tolist() == [32_767, 0]
 
 
 def test_load_dense_matrix_all_missing(tmp_path):
@@ -552,6 +593,19 @@ def test_grouping_keys_of_int32_ids_are_formed_in_int64():
     assert np.array_equal(d.by_user.order, np.argsort(users, kind="stable"))
 
 
+def test_grouping_keys_of_int16_ids_are_formed_in_int64():
+    # 299 * 1,000 wraps in int16: the keys would no longer sort by id
+    rng = np.random.default_rng(38)
+    n = 1_000
+    cells = rng.choice(300 * 700, n, replace=False)
+    t = TripleSet(300, 700, cells // 700, cells % 700, np.ones(n))
+    assert t.users.dtype == np.int16
+    d = build_index(t)
+    assert np.array_equal(d.by_user.order, np.argsort(t.users, kind="stable"))
+    assert np.array_equal(d.by_service.order, np.argsort(t.services, kind="stable"))
+    assert np.array_equal(d.by_user.indices, t.services[d.by_user.order])
+
+
 def test_index_preserves_observation_order_within_group():
     t = small_set()
     d = build_index(t)
@@ -788,16 +842,32 @@ def test_split_in_spans_gives_the_gathers_of_its_permutation(n, workers, monkeyp
     t = distinct_cells(4 * n, seed=n)
     monkeypatch.setattr(sddmm, "WORKERS", workers)
     sp = split(t, 0.5, 0.25, seed=n)
-    train, other = (max(1, min(workers, m // sddmm.MIN_SPAN)) for m in (2 * n, n))
-    # the train part's gathers and its two groupings' two passes each,
-    # then the gathers of the validation and the test part
-    assert chunks_run == [train] * 5 + [other] * 2
+    whole, train = (max(1, min(workers, m // sddmm.MIN_SPAN)) for m in (4 * n, 2 * n))
+    # the permutation's fill and the gathers, each over all 4n, then the
+    # train part's two groupings' two passes each
+    assert chunks_run == [whole] * 2 + [train] * 4
     perm = np.random.default_rng(n).permutation(4 * n)
     parts = (sp.train.base, sp.validation.base, sp.test.base)
     for part, idx in zip(parts, (perm[:2 * n], perm[2 * n:3 * n], perm[3 * n:])):
         for name in ("users", "services", "values"):
             got, want = getattr(part, name), getattr(t, name)[idx]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_split_holds_no_more_than_its_parts_and_the_train_groupings(monkeypatch):
+    # the permutation is drawn into the values buffer and each grouping
+    # build holds only its outputs, so nothing of n entries is held
+    # beside them; 256 KiB of slack covers the shared positions
+    # (SETUP_BLOCK int64 entries, 128 KiB), a gather's block and the
+    # groupings' bounds
+    monkeypatch.setattr(sddmm, "WORKERS", 1)
+    t = distinct_cells(400_000, seed=41, nu=1000)
+    sp, peak = traced_peak(lambda: split(t, 0.8, 0.1, seed=0))
+    parts = sum(a.nbytes for d in (sp.train, sp.validation, sp.test)
+                for a in (d.base.users, d.base.services, d.base.values))
+    groupings = sum(a.nbytes for g in (sp.train.by_user, sp.train.by_service)
+                    for a in (g.order, g.indices, g.indptr))
+    assert peak <= parts + groupings + 256 * 1024
 
 
 def test_split_and_index_peak_no_higher_on_two_workers(monkeypatch):

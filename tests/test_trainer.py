@@ -9,7 +9,7 @@ import pytest
 
 from sofactor.cg import IndefiniteOperatorError, cg_solve
 from sofactor.curvature import CurvatureContext
-from sofactor.data import split, synth_lowrank
+from sofactor.data import TripleSet, split, synth_lowrank
 from sofactor.model import Hyperparams, gradient, init_factors, rmse
 
 train_mod = importlib.import_module("sofactor.train")
@@ -152,8 +152,14 @@ def sgdm_kernel_case(case):
     kernel test; "mixed" is the synthetic set over three epochs, "wide" a
     denser and larger one whose levels hold many observations each."""
     rng = np.random.default_rng(71)
-    num_users, num_services, f = (30, 40, 20) if case == "wide" else (8, 9, 5)
-    if case == "one_user":  # every observation conflicts: one per level
+    num_users, num_services, f = {"wide": (30, 40, 20), "int16_ids": (3, 32_767, 5)}.get(
+        case, (8, 9, 5))
+    if case == "int16_ids":  # service rows num_users + s past 32,767
+        t = TripleSet(num_users, num_services, np.array([0, 1, 2, 2, 0]),
+                      np.array([32_766, 32_766, 0, 32_765, 7]), rng.uniform(0.2, 1.0, 5))
+        assert t.services.dtype == np.int16
+        users, services, values = t.users, t.services, t.values
+    elif case == "one_user":  # every observation conflicts: one per level
         users, services = np.zeros(9, dtype=np.int64), np.arange(9)
         values = rng.uniform(0.2, 1.0, 9)
     elif case == "one_service":
@@ -177,7 +183,8 @@ def sgdm_kernel_case(case):
 
 
 @pytest.mark.parametrize("case", ["mixed", "one_user", "one_service", "empty",
-                                  "single", "momentum_zero", "wide", "lam2_zero"])
+                                  "single", "momentum_zero", "wide", "lam2_zero",
+                                  "int16_ids"])
 def test_sgdm_kernel_matches_scalar_reference(case):
     # the level-scheduled kernel, on stacked user-then-service tables,
     # must equal the scalar loop bit for bit on all four row ranges it
