@@ -21,7 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from .data import IndexedDataset
-from .model import FactorState, Hyperparams, entity_counts, jacobian_transpose_vector
+from .model import (
+    FactorState,
+    Hyperparams,
+    entity_counts,
+    jacobian_transpose_vector,
+    l1_curvature,
+)
 from .sddmm import BLOCK_ROWS, sampled_dots
 
 
@@ -31,8 +37,9 @@ class CurvatureContext:
     Built once per solved epoch (none after a zero step, whose solve is
     reused) from the current factors, the indexed train split, and
     hyperparameters. It caches the regularizer diagonals in the layout of
-    ``x.table`` (an L1 table only when lambda_r1 > 0, since the L1 term is
-    absent otherwise, and an L2 column of per-row weights) and one J v
+    ``x.table`` (an L1 table, ``model.l1_curvature``, only when lambda_r1 >
+    0, since the L1 term is absent otherwise, and an L2 column of per-row
+    weights) and one J v
     scratch buffer. Every product is one blocked gather pass in the train
     set's user-major order (J v reads its factor rows from x block by block,
     holding no per-observation copy) plus two sparse accumulations; its
@@ -50,19 +57,14 @@ class CurvatureContext:
         self.data = data
         self.h = h
         self._jv = np.empty(len(data))  # scratch reused across products
-        c = entity_counts(data)
-        self._l1_diag = None
-        if h.lambda_r1 > 0:
-            # diagonal Hessian of the smooth L1 term:
-            #   d^2/dx^2 sqrt(x^2 + eps) = eps / (x^2 + eps)^(3/2)
-            e = h.epsilon
-            self._l1_diag = h.lambda_r1 * c * e / np.power(x.table ** 2 + e, 1.5)
-        self._l2_diag = h.lambda_r2 * c
+        self._l1_diag = l1_curvature(x, data, h) if h.lambda_r1 > 0 else None
+        self._l2_diag = h.lambda_r2 * entity_counts(data)
 
     def jacobian_vector(self, v: np.ndarray) -> np.ndarray:
         """J v: directional derivative of every prediction, one entry per
-        observation, in the train set's user-major order (the order the
-        weighted sums take; ``data.by_user.order`` maps it to stored order).
+        observation, in the train set's user-major order, the order the
+        weighted sums take (``data.user_major`` gives the ids and the
+        observed value at each position).
 
         Returns the context's scratch buffer, which the next product
         overwrites; copy it to keep it.

@@ -151,16 +151,18 @@ class RaggedIndex:
     """Observations grouped by one entity (all users or all services).
 
     The grouping is the structure of a CSR matrix of ``shape`` (this
-    entity by the other one): group ``i`` holds observations
-    ``order[indptr[i]:indptr[i+1]]``, in their original order (stable
-    grouping), and ``indices`` holds the other entity's id for each of
-    them. ``indices`` and ``indptr`` are in scipy's own index dtype for
+    entity by the other one). Its group order is the stable grouping of
+    the observations by this entity's id: group ``i`` holds positions
+    ``indptr[i]:indptr[i+1]``, its observations in their original order,
+    and ``indices`` holds the other entity's id at each position. The
+    order itself (which observation sits at each position) is not kept:
+    only the build of the user-major view reads it (``_work_order``).
+    ``indices`` and ``indptr`` are in scipy's own index dtype for
     ``shape``, so ``weighted_sums`` pairs them with fresh data without
     a per-call range scan or cast; nothing ever writes to them.
     """
 
     shape: tuple
-    order: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
 
@@ -175,11 +177,11 @@ class RaggedIndex:
         weights[k] * rows[j_k], where j_k is the other entity's id of k.
 
         weights holds one entry per observation in this index's group
-        order, the order of ``order`` (entry p belongs to observation
-        ``order[p]``); rows has one row per id of the other entity. With
-        ``positions``, one entry per observation, weights is in another
-        order and entry p is ``weights[positions[p]]`` instead. out, if
-        given, receives the sums and is returned.
+        order (entry p belongs to the observation at position p, whose
+        other id is ``indices[p]``); rows has one row per id of the other
+        entity. With ``positions``, one entry per observation, weights is
+        in another order and entry p is ``weights[positions[p]]`` instead.
+        out, if given, receives the sums and is returned.
 
         Chunks of groups run on the pool of ``sddmm``, split at the first
         group at or after each inner bound of ``span_bounds(nnz)`` (equal
@@ -219,13 +221,13 @@ class RaggedIndex:
 class UserMajorOrder:
     """The work order of per-observation vectors in training passes.
 
-    Position p holds observation ``by_user.order[p]`` of its dataset:
-    observations grouped by user, in stored order inside each user.
-    ``users``, ``services`` and ``values`` give the ids and the observed
-    value at each position, and ``to_service`` maps the positions onto
-    ``by_service``'s group order (``w[to_service]`` is w in that order).
-    The ids and the map are in the CSR index dtype of the dataset's
-    groupings.
+    It is ``by_user``'s group order: the observations grouped by user, in
+    stored order inside each user. ``users``, ``services`` and ``values``
+    give the ids and the observed value at each position, and
+    ``to_service`` maps the positions onto ``by_service``'s group order
+    (``w[to_service]`` is w in that order). The ids and the map are in
+    the CSR index dtype of the dataset's groupings; ``services`` is
+    ``by_user.indices``, not a copy.
     """
 
     users: np.ndarray
@@ -241,18 +243,20 @@ class IndexedDataset:
     ``by_user`` groups the observations touching each user u (its known
     set K_u); ``by_service`` likewise for services. The groupings double as
     fixed sparsity structure for the weighted accumulations used by
-    gradients and curvature products. Each is built on first use and then
-    cached, so a part that is only evaluated (predictions and RMSE read
-    ``base`` alone) never builds them; ``build_index`` builds both at
-    once.
+    gradients and curvature products.
 
     Per-observation vectors come in one of two orders. Stored order is
     that of ``base``; predictions, residuals and RMSE use it. User-major
     order (``user_major``) is the order of ``by_user``; the weighted
     sums take their weights in it, so the data gradient and J v, which
-    feed them, are computed in it too. Its view is built on first use,
-    which only training passes make. Immutable apart from these cached
-    views, whose builds are idempotent; safe for shared reads.
+    feed them, are computed in it too.
+
+    The two groupings and the view are built together (``_work_order``)
+    and cached as one: the first read of any of them builds all three,
+    which ``build_index`` does in set-up for a train part. A part that
+    is only evaluated (predictions and RMSE read ``base`` alone) never
+    builds them. Immutable apart from that cached build, which is
+    idempotent; safe for shared reads.
     """
 
     base: TripleSet
@@ -262,51 +266,24 @@ class IndexedDataset:
         return len(self.base)
 
     @cached_property
+    def _built(self) -> tuple:
+        "(by_user, by_service, user_major), built on first use and then cached."
+        return _work_order(self.base)
+
+    @property
     def by_user(self) -> RaggedIndex:
-        "The observations grouped by user, built on first use and then cached."
-        t = self.base
-        return _grouped(t.users, t.services, (t.num_users, t.num_services))
+        "The observations grouped by user."
+        return self._built[0]
 
-    @cached_property
+    @property
     def by_service(self) -> RaggedIndex:
-        "The observations grouped by service, built on first use and then cached."
-        t = self.base
-        return _grouped(t.services, t.users, (t.num_services, t.num_users))
+        "The observations grouped by service."
+        return self._built[1]
 
-    @cached_property
+    @property
     def user_major(self) -> UserMajorOrder:
-        """The user-major work order, built on first use and then cached.
-
-        Its gathers and its position scatter run over ``span_bounds`` on
-        the thread pool of ``sddmm``: ``by_user.order`` is a permutation,
-        so each span writes entries no other span does.
-        """
-        by_user, by_service = self.by_user, self.by_service
-        indptr = by_user.indptr
-        dtype = indptr.dtype  # holds len(self), so every position fits
-        n = len(self)
-        arange = np.arange(n, dtype=dtype)
-        position = np.empty(n, dtype=dtype)  # of each observation in user-major order
-        values = np.empty(n)
-        to_service = np.empty(n, dtype=dtype)
-        # both orders are permutations of range(n), so mode="clip" never
-        # clips; it lets take() write into out= without a buffer, which a
-        # worker thread's malloc arena would keep
-
-        def scatter(lo, hi):
-            order = by_user.order[lo:hi]
-            position[order] = arange[lo:hi]
-            np.take(self.base.values, order, out=values[lo:hi], mode="clip")
-
-        def gather(lo, hi):
-            np.take(position, by_service.order[lo:hi], out=to_service[lo:hi], mode="clip")
-
-        bounds = span_bounds(n)
-        run_spans(scatter, bounds)
-        run_spans(gather, bounds)
-        return UserMajorOrder(
-            users=np.repeat(np.arange(len(indptr) - 1, dtype=dtype), np.diff(indptr)),
-            services=by_user.indices, values=values, to_service=to_service)
+        "The user-major work order."
+        return self._built[2]
 
     def user_weighted_sums(self, weights: np.ndarray, service_rows: np.ndarray,
                            out=None) -> np.ndarray:
@@ -341,9 +318,11 @@ def _blocks(lo: int, hi: int, size: int):
     return ((a, min(a + size, hi)) for a in range(lo, hi, size))
 
 
-def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedIndex:
+def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> tuple:
     """Group observations by ``ids`` (each below ``shape[0]``), keeping
-    their order inside each group.
+    their order inside each group: the grouping and its order, the
+    observation at each position as int64 (``np.argsort(ids,
+    kind="stable")``).
 
     The keys ``ids * n + position`` are unique and sort by id, then by
     position, so ``key % n`` is the stable grouping order whatever
@@ -388,18 +367,69 @@ def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> RaggedInde
     run_spans(unkey, bounds)
     # scipy picks the index dtype for shape; its data is one zero, broadcast
     m = sp.csr_matrix((np.broadcast_to(0.0, n), other, offsets), shape=shape)
-    return RaggedIndex(shape=shape, order=order, indices=m.indices, indptr=m.indptr)
+    return RaggedIndex(shape=shape, indices=m.indices, indptr=m.indptr), order
+
+
+def _work_order(t: TripleSet) -> tuple:
+    """(by_user, by_service, user_major) of t, built in one pass.
+
+    The view is the one reader of the groupings' orders, so no order
+    outlives this build, and at most one is held at a time. The service
+    side goes first, and its order leaves behind only each observation's
+    position in service order (``in_service``). With the user side's
+    order, each user-major position p then gathers its value and marks
+    itself in ``to_service`` at the service-order position of its
+    observation. The scatters and gathers run over ``span_bounds`` on the
+    pool of ``sddmm``: both orders are permutations, so each span writes
+    entries no other span does. The build peaks at 4 bytes per
+    observation above what it keeps: the two groupings' ids, the view's
+    user ids, values and ``to_service``, 24 bytes per observation.
+    """
+    n = len(t)
+    by_service, order = _grouped(t.services, t.users, (t.num_services, t.num_users))
+    dtype = by_service.indptr.dtype  # holds n, so every position fits
+    arange = np.arange(n, dtype=dtype)
+    in_service = np.empty(n, dtype=dtype)  # each observation's position in service order
+
+    def place(lo, hi):
+        in_service[order[lo:hi]] = arange[lo:hi]
+
+    bounds = span_bounds(n)
+    run_spans(place, bounds)
+    del order
+    by_user, order = _grouped(t.users, t.services, (t.num_users, t.num_services))
+    to_service = np.empty(n, dtype=dtype)
+
+    def link(lo, hi):
+        for a, b in _blocks(lo, hi, BLOCK_ROWS):  # the composed gather makes a temporary
+            to_service[in_service.take(order[a:b])] = arange[a:b]
+
+    run_spans(link, bounds)
+    del in_service, arange
+    values = np.empty(n)
+
+    def gather(lo, hi):
+        # order is a permutation of range(n), so clip never clips; it lets
+        # take() write into out= without a buffer
+        np.take(t.values, order[lo:hi], out=values[lo:hi], mode="clip")
+
+    run_spans(gather, bounds)
+    del order
+    indptr = by_user.indptr
+    users = np.repeat(np.arange(len(indptr) - 1, dtype=dtype), np.diff(indptr))
+    return by_user, by_service, UserMajorOrder(
+        users=users, services=by_user.indices, values=values, to_service=to_service)
 
 
 def build_index(t: TripleSet, role: str = "") -> IndexedDataset:
-    """Group observation indices by user and by service, now rather than
-    on first use.
+    """Build t's groupings by user and by service and its user-major
+    view now, rather than on first use.
 
     Total on any valid TripleSet; preserves observation order inside
     every group.
     """
     d = IndexedDataset(base=t, role=role)
-    d.by_user, d.by_service  # build and cache both
+    d.user_major  # builds and caches the groupings with it
     return d
 
 
@@ -626,9 +656,9 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     beside them: it is drawn into the values buffer, which the values
     then overwrite. The fill and the gathers run over ``span_bounds`` on
     the pool of ``sddmm``; the shuffle, one random stream, cannot.
-    Only the train part's groupings are built here, in set-up; the
-    validation and test parts build theirs on first use, if any, since
-    evaluation reads only ``base``.
+    Only the train part's groupings and user-major view are built here,
+    in set-up (``build_index``); the validation and test parts build
+    theirs on first use, if any, since evaluation reads only ``base``.
     """
     check_fractions(train_frac, val_frac)
     n = len(t)

@@ -242,6 +242,19 @@ def l1_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray
     return (h.lambda_r1 * entity_counts(d) * x.table / _smooth_abs(x.table, h.epsilon)).ravel()
 
 
+def l1_curvature(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray:
+    """Diagonal Hessian of the smooth L1 term, in the layout of x.table:
+    d^2/dx^2 lambda_r1 * |K_e| * sqrt(x^2 + eps) = lambda_r1 * |K_e| * eps / (s * sqrt(s)),
+    s = x * x + eps.
+
+    s * sqrt(s) stands for s^(3/2): both operations are correctly rounded,
+    so every machine gives the same bits, where np.power's SIMD loops
+    differ in the last bit between CPU feature levels.
+    """
+    s = x.table * x.table + h.epsilon
+    return h.lambda_r1 * entity_counts(d) * h.epsilon / (s * np.sqrt(s))
+
+
 def l2_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray:
     "Gradient of the quadratic term: lambda_r2 * |K_e| * x."
     if h.lambda_r2 == 0:

@@ -64,18 +64,30 @@ def dense_gn_oracle(x: FactorState, data: IndexedDataset) -> np.ndarray:
     return jac.T @ jac
 
 
-def _stored_order_sums(index: RaggedIndex, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    "Weighted sums over a grouping, with weights in stored observation order."
-    m = sp.csr_matrix((weights[index.order], index.indices, index.indptr), shape=index.shape)
+def grouping_order(ids: np.ndarray) -> np.ndarray:
+    """The observation at each position of a grouping by ids: the stable
+    argsort of the ids, observations sorted by id and kept in stored
+    order inside each group. ``by_user``'s order is
+    ``grouping_order(base.users)``, the user-major order."""
+    return np.argsort(ids, kind="stable")
+
+
+def _stored_order_sums(index: RaggedIndex, ids: np.ndarray, weights: np.ndarray,
+                       rows: np.ndarray) -> np.ndarray:
+    """Weighted sums over the grouping of ids, with weights in stored
+    observation order."""
+    m = sp.csr_matrix((weights[grouping_order(ids)], index.indices, index.indptr),
+                      shape=index.shape)
     return m @ rows
 
 
 def stored_order_data_gradient(x: FactorState, data: IndexedDataset) -> np.ndarray:
     """Data-term gradient from residuals in stored observation order, each
     weighted sum gathering them through its own grouping."""
-    r = residuals(x, data.base)
-    gu = _stored_order_sums(data.by_user, -r, x.service_factors)
-    gs = _stored_order_sums(data.by_service, -r, x.user_factors)
+    t = data.base
+    r = residuals(x, t)
+    gu = _stored_order_sums(data.by_user, t.users, -r, x.service_factors)
+    gs = _stored_order_sums(data.by_service, t.services, -r, x.user_factors)
     return np.concatenate([gu.ravel(), gs.ravel()])
 
 
@@ -89,13 +101,15 @@ def stored_order_damped_hvp(x: FactorState, data: IndexedDataset, h: Hyperparams
     vs = v[cut:].reshape(x.num_services, x.f)
     jv = sampled_dots(t.users, t.services,
                       ((vu, x.service_factors), (x.user_factors, vs)))
-    out = np.concatenate([_stored_order_sums(data.by_user, jv, x.service_factors).ravel(),
-                          _stored_order_sums(data.by_service, jv, x.user_factors).ravel()])
+    out = np.concatenate([
+        _stored_order_sums(data.by_user, t.users, jv, x.service_factors).ravel(),
+        _stored_order_sums(data.by_service, t.services, jv, x.user_factors).ravel()])
     cu = data.by_user.counts[:, None].astype(np.float64)
     cs = data.by_service.counts[:, None].astype(np.float64)
     e = h.epsilon
-    l1u = h.lambda_r1 * cu * e / np.power(x.user_factors ** 2 + e, 1.5)
-    l1s = h.lambda_r1 * cs * e / np.power(x.service_factors ** 2 + e, 1.5)
+    su, ss = x.user_factors * x.user_factors + e, x.service_factors * x.service_factors + e
+    l1u = h.lambda_r1 * cu * e / (su * np.sqrt(su))  # (x^2 + eps)^(3/2), correctly rounded
+    l1s = h.lambda_r1 * cs * e / (ss * np.sqrt(ss))
     out += np.concatenate([(l1u * vu).ravel(), (l1s * vs).ravel()])
     out += np.concatenate([(h.lambda_r2 * cu * vu).ravel(), (h.lambda_r2 * cs * vs).ravel()])
     if h.gamma != 0:

@@ -310,6 +310,29 @@ def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert runs["1"] == runs["2"]
 
 
+def _dispatch_targets():
+    "The targets numpy compiled dispatched loops for that this CPU also has."
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+@pytest.mark.skipif(not _dispatch_targets(),
+                    reason="numpy dispatches no loop above its baseline on this CPU "
+                           "(or they are already disabled)")
+def test_train_bytes_do_not_depend_on_the_simd_level(tmp_path):
+    # numpy picks some loops by CPU feature at run time; with every
+    # dispatched target disabled it runs its baseline loops, so a loop
+    # whose bits differ by level (np.power once did) would show here
+    data = _write_large_triples(tmp_path)
+    full = _train_models(tmp_path, data, "full", "all")
+    baseline = _train_models(tmp_path, data, "baseline", "all",
+                             NPY_DISABLE_CPU_FEATURES=" ".join(_dispatch_targets()))
+    assert full == baseline
+
+
 # -------------------------------------------------------------------- errors
 
 def test_bench_malformed_dataset_config_errors_cleanly(tmp_path, capsys):

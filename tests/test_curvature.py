@@ -10,12 +10,13 @@ from sofactor.model import (
     FactorState,
     Hyperparams,
     gradient,
+    l1_curvature,
     l1_gradient,
     l2_gradient,
     predict_observed,
 )
 
-from oracles import dense_gn_oracle, traced_peak
+from oracles import dense_gn_oracle, grouping_order, traced_peak
 from test_model import random_problem
 
 
@@ -49,8 +50,17 @@ def test_jacobian_euler_identity_for_bilinear_map():
     d, x = random_problem(rng)
     ctx = CurvatureContext(x, d, Hyperparams(f=x.f))
     jv = ctx.jacobian_vector(x.as_vector())
-    np.testing.assert_allclose(jv, 2 * predict_observed(x, d.base)[d.by_user.order],
+    np.testing.assert_allclose(jv, 2 * predict_observed(x, d.base)[grouping_order(d.base.users)],
                                rtol=1e-13)
+
+
+def test_l1_product_scales_by_the_model_diagonal():
+    rng = np.random.default_rng(47)
+    d, x = random_problem(rng)
+    h = Hyperparams(f=x.f, lambda_r1=0.04)
+    v = rng.standard_normal(x.dim)
+    got = CurvatureContext(x, d, h).reg_l1_hvp(v)
+    assert got.tobytes() == (l1_curvature(x, d, h) * x.as_table(v)).ravel().tobytes()
 
 
 def test_hvp_zero_vector_and_scaling():
@@ -80,13 +90,14 @@ def test_jacobian_vector_matches_bruteforce_and_fd():
         want = np.array([
             float(vu[u] @ x.service_factors[s] + x.user_factors[u] @ vs[s])
             for u, s in zip(d.base.users, d.base.services)])
-        np.testing.assert_allclose(jv, want[d.by_user.order], rtol=1e-12, atol=1e-12)
+        user_major = grouping_order(d.base.users)
+        np.testing.assert_allclose(jv, want[user_major], rtol=1e-12, atol=1e-12)
         # directional derivative of the predictions
         step = 1e-7
         xp = FactorState.from_vector(x.num_users, x.num_services, x.f, x.as_vector() + step * v)
         xm = FactorState.from_vector(x.num_users, x.num_services, x.f, x.as_vector() - step * v)
         fd = (predict_observed(xp, d.base) - predict_observed(xm, d.base)) / (2 * step)
-        np.testing.assert_allclose(jv, fd[d.by_user.order], rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(jv, fd[user_major], rtol=1e-6, atol=1e-8)
 
 
 def test_jacobian_vector_reuses_scratch_buffer():

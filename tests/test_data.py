@@ -5,6 +5,7 @@ python dictionaries; file formats against hand-written fixtures.
 """
 
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import given, strategies as st
 from sofactor import data as data_mod, sddmm
 from sofactor.cg import cg_solve
 from sofactor.data import (
-    IndexedDataset,
     TripleSet,
     _grouped,
     build_index,
@@ -30,7 +30,7 @@ from sofactor.data import (
 from sofactor.model import Hyperparams, init_factors
 from sofactor.sddmm import run_spans
 
-from oracles import traced_peak, write_dense_matrix
+from oracles import grouping_order, traced_peak, write_dense_matrix
 
 
 def small_set():
@@ -141,11 +141,16 @@ def test_pair_keys_of_int16_ids_are_formed_in_int64():
 def test_id_dtype_is_the_narrowest_signed_type_holding_either_dimension(dim, dtype):
     # either dimension decides; the grouping by the other entity, whose
     # index holds ids below dim, keeps scipy's index dtype, int32 at least
-    by_service = TripleSet(1, dim, np.array([0]), np.array([dim - 1]), np.ones(1))
-    by_user = TripleSet(dim, 1, np.array([dim - 1]), np.array([0]), np.ones(1))
-    for t, grouping in ((by_service, "by_user"), (by_user, "by_service")):
+    # (built alone: a grouping by the entity of dimension dim would hold
+    # dim + 1 group bounds)
+    wide = TripleSet(1, dim, np.array([0]), np.array([dim - 1]), np.ones(1))
+    tall = TripleSet(dim, 1, np.array([dim - 1]), np.array([0]), np.ones(1))
+    for t in (wide, tall):
         assert t.users.dtype == t.services.dtype == dtype
-        assert getattr(IndexedDataset(t), grouping).indices.dtype == np.promote_types(dtype, np.int32)
+    g, _ = _grouped(wide.users, wide.services, (1, dim))
+    assert g.indices.dtype == np.promote_types(dtype, np.int32)
+    g, _ = _grouped(tall.services, tall.users, (1, dim))
+    assert g.indices.dtype == np.promote_types(dtype, np.int32)
 
 
 @pytest.mark.parametrize("num_services, nbytes", [(40, 12), (32_767, 12), (32_768, 16)])
@@ -544,9 +549,9 @@ def test_load_triples_empty_file_warns_nothing(tmp_path):
 
 # ---------------------------------------------------------------- index
 
-def group(index, i):
-    "Observations of group i of a RaggedIndex."
-    return index.order[index.indptr[i]:index.indptr[i + 1]]
+def group(index, ids, i):
+    "Observations of group i of a RaggedIndex, the grouping of ids."
+    return grouping_order(ids)[index.indptr[i]:index.indptr[i + 1]]
 
 
 def test_build_index_matches_bruteforce():
@@ -563,9 +568,13 @@ def test_build_index_matches_bruteforce():
             by_u.setdefault(int(u), []).append(k)
             by_s.setdefault(int(s), []).append(k)
         for u in range(nu):
-            assert list(group(d.by_user, u)) == by_u.get(u, [])
+            assert list(group(d.by_user, t.users, u)) == by_u.get(u, [])
+            assert list(t.services[group(d.by_user, t.users, u)]) == list(
+                d.by_user.indices[d.by_user.indptr[u]:d.by_user.indptr[u + 1]])
         for s in range(ns):
-            assert list(group(d.by_service, s)) == by_s.get(s, [])
+            assert list(group(d.by_service, t.services, s)) == by_s.get(s, [])
+            assert list(t.users[group(d.by_service, t.services, s)]) == list(
+                d.by_service.indices[d.by_service.indptr[s]:d.by_service.indptr[s + 1]])
         assert np.array_equal(d.by_user.counts, [len(by_u.get(u, [])) for u in range(nu)])
         assert np.array_equal(d.by_service.counts, [len(by_s.get(s, [])) for s in range(ns)])
 
@@ -577,10 +586,10 @@ def test_grouped_order_is_stable_argsort(n, num_ids):
     rng = np.random.default_rng(n + num_ids)
     ids = rng.integers(0, num_ids, size=n)
     other = rng.integers(0, 9, size=n)
-    g = _grouped(ids, other, (num_ids, 9))
-    assert g.order.dtype == np.int64
-    assert np.array_equal(g.order, np.argsort(ids, kind="stable"))
-    assert np.array_equal(g.indices, other[g.order])
+    g, order = _grouped(ids, other, (num_ids, 9))
+    assert order.dtype == np.int64
+    assert np.array_equal(order, grouping_order(ids))
+    assert np.array_equal(g.indices, other[order])
     assert np.array_equal(g.counts, np.bincount(ids, minlength=num_ids))
 
 
@@ -590,7 +599,8 @@ def test_grouping_keys_of_int32_ids_are_formed_in_int64():
     n = 40_000
     users = rng.integers(65_000, 65_536, n)
     d = build_index(TripleSet(65_536, n, users, np.arange(n), np.ones(n)))
-    assert np.array_equal(d.by_user.order, np.argsort(users, kind="stable"))
+    # the services are 0 .. n - 1, so the user side's indices are its order
+    assert np.array_equal(d.by_user.indices, grouping_order(users))
 
 
 def test_grouping_keys_of_int16_ids_are_formed_in_int64():
@@ -601,17 +611,23 @@ def test_grouping_keys_of_int16_ids_are_formed_in_int64():
     t = TripleSet(300, 700, cells // 700, cells % 700, np.ones(n))
     assert t.users.dtype == np.int16
     d = build_index(t)
-    assert np.array_equal(d.by_user.order, np.argsort(t.users, kind="stable"))
-    assert np.array_equal(d.by_service.order, np.argsort(t.services, kind="stable"))
-    assert np.array_equal(d.by_user.indices, t.services[d.by_user.order])
+    by_user, by_service = grouping_order(t.users), grouping_order(t.services)
+    assert np.array_equal(d.by_user.indices, t.services[by_user])
+    assert np.array_equal(d.by_service.indices, t.users[by_service])
+    um = d.user_major
+    assert np.array_equal(um.users, t.users[by_user])
+    position = np.empty(n, dtype=np.int64)
+    position[by_user] = np.arange(n)
+    assert np.array_equal(um.to_service, position[by_service])
 
 
 def test_index_preserves_observation_order_within_group():
     t = small_set()
     d = build_index(t)
-    assert list(group(d.by_user, 2)) == [3, 4, 5]
-    assert list(group(d.by_user, 3)) == []
-    assert list(group(d.by_service, 0)) == [0, 3]
+    assert list(group(d.by_user, t.users, 2)) == [3, 4, 5]
+    assert list(group(d.by_user, t.users, 3)) == []
+    assert list(group(d.by_service, t.services, 0)) == [0, 3]
+    assert list(d.by_user.indices[d.by_user.indptr[2]:d.by_user.indptr[3]]) == list(t.services[3:6])
 
 
 def test_weighted_sums_match_bruteforce():
@@ -627,7 +643,7 @@ def test_weighted_sums_match_bruteforce():
     for k, (u, s) in enumerate(zip(t.users, t.services)):
         by_user[u] += w[k] * svc_rows[s]
         by_service[s] += w[k] * usr_rows[u]
-    w_um = w[d.by_user.order]  # the weighted sums take user-major order
+    w_um = w[grouping_order(t.users)]  # the weighted sums take user-major order
     np.testing.assert_allclose(d.user_weighted_sums(w_um, svc_rows), by_user, atol=1e-12)
     np.testing.assert_allclose(d.service_weighted_sums(w_um, usr_rows), by_service, atol=1e-12)
 
@@ -644,16 +660,18 @@ def test_cached_scatter_structure_matches_fresh_csr_build():
     svc_rows = rng.standard_normal((ns, f))
     usr_rows = rng.standard_normal((nu, f))
 
+    by_user, by_service = grouping_order(t.users), grouping_order(t.services)
+
     def fresh(w):
-        mu = sparse.csr_matrix((w[d.by_user.order], t.services[d.by_user.order],
-                                d.by_user.indptr), shape=(nu, ns))
-        ms = sparse.csr_matrix((w[d.by_service.order], t.users[d.by_service.order],
-                                d.by_service.indptr), shape=(ns, nu))
+        mu = sparse.csr_matrix((w[by_user], t.services[by_user], d.by_user.indptr),
+                               shape=(nu, ns))
+        ms = sparse.csr_matrix((w[by_service], t.users[by_service], d.by_service.indptr),
+                               shape=(ns, nu))
         return mu @ svc_rows, ms @ usr_rows
 
     w1 = rng.standard_normal(len(t))
     w2 = rng.standard_normal(len(t))
-    um1, um2 = w1[d.by_user.order], w2[d.by_user.order]  # user-major order
+    um1, um2 = w1[by_user], w2[by_user]  # user-major order
     first = (d.user_weighted_sums(um1, svc_rows), d.service_weighted_sums(um1, usr_rows))
     second = (d.user_weighted_sums(um2, svc_rows), d.service_weighted_sums(um2, usr_rows))
     for got, want in zip(first + second, fresh(w1) + fresh(w2)):
@@ -688,7 +706,7 @@ def test_weighted_sums_at_any_worker_count_give_the_serial_bytes(
     nu, ns, f = 3000, 700, 3
     rng = np.random.default_rng(nnz)
     ids = rng.integers(2, nu - 2, nnz)
-    index = _grouped(ids, rng.integers(0, ns, nnz), (nu, ns))
+    index, _ = _grouped(ids, rng.integers(0, ns, nnz), (nu, ns))
     w = rng.standard_normal(nnz)
     rows = rng.standard_normal((ns, f))
     want = serial_sums(index, w, rows)
@@ -712,7 +730,7 @@ def test_weighted_sums_merge_chunks_inside_one_dominant_group(workers, monkeypat
     rng = np.random.default_rng(11)
     ids = rng.integers(0, nu, nnz)
     ids[rng.random(nnz) < 0.8] = 3
-    index = _grouped(ids, rng.integers(0, ns, nnz), (nu, ns))
+    index, _ = _grouped(ids, rng.integers(0, ns, nnz), (nu, ns))
     w = rng.standard_normal(nnz)
     rows = rng.standard_normal((ns, f))
     want = serial_sums(index, w, rows)
@@ -738,7 +756,7 @@ def test_weighted_sums_gather_their_weights_per_chunk(extra, workers, monkeypatc
     nnz = 2 * sddmm.MIN_SPAN + extra
     nu, ns, f = 3000, 700, 3
     rng = np.random.default_rng(nnz + 7)
-    index = _grouped(rng.integers(0, nu, nnz), rng.integers(0, ns, nnz), (nu, ns))
+    index, _ = _grouped(rng.integers(0, nu, nnz), rng.integers(0, ns, nnz), (nu, ns))
     w = rng.standard_normal(nnz)
     w[::5] = -0.0
     positions = rng.permutation(nnz).astype(index.indptr.dtype)
@@ -785,7 +803,7 @@ def test_weighted_sums_reject_positions_and_out_of_another_shape():
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_user_major_view_built_in_spans_gives_its_serial_definition(
         extra, workers, monkeypatch):
-    # the scatter and the gathers of the view split from 2 * MIN_SPAN on
+    # the scatters and the gathers of the view split from 2 * MIN_SPAN on
     n = 2 * sddmm.MIN_SPAN + extra
     nu, ns = 3000, 700
     rng = np.random.default_rng(n)
@@ -794,13 +812,15 @@ def test_user_major_view_built_in_spans_gives_its_serial_definition(
     monkeypatch.setattr(sddmm, "WORKERS", workers)
     d = build_index(t)
     um = d.user_major
+    by_user, by_service = grouping_order(t.users), grouping_order(t.services)
     position = np.empty(n, dtype=np.int64)
-    position[d.by_user.order] = np.arange(n)
+    position[by_user] = np.arange(n)
     assert um.values.dtype == np.float64
-    assert um.values.tobytes() == t.values[d.by_user.order].tobytes()
+    assert um.values.tobytes() == t.values[by_user].tobytes()
     assert um.to_service.dtype == d.by_user.indptr.dtype
-    assert np.array_equal(um.to_service, position[d.by_service.order])
-    assert np.array_equal(um.users, t.users[d.by_user.order])
+    assert np.array_equal(um.to_service, position[by_service])
+    assert np.array_equal(um.users, t.users[by_user])
+    assert um.services is d.by_user.indices
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -813,12 +833,12 @@ def test_grouping_in_spans_gives_its_serial_definition(n, workers, monkeypatch, 
     ids = rng.integers(0, 3000, n)
     other = rng.integers(0, 700, n)
     monkeypatch.setattr(sddmm, "WORKERS", workers)
-    g = _grouped(ids, other, (3000, 700))
+    g, got_order = _grouped(ids, other, (3000, 700))
     spans = max(1, min(workers, n // sddmm.MIN_SPAN))
     assert chunks_run == [spans, spans]
-    order = np.argsort(ids, kind="stable")
+    order = grouping_order(ids)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=3000))])
-    assert g.order.dtype == np.int64 and g.order.tobytes() == order.tobytes()
+    assert got_order.dtype == np.int64 and got_order.tobytes() == order.tobytes()
     assert g.indices.dtype == g.indptr.dtype == sparse.csr_matrix((3000, 700)).indptr.dtype
     assert g.indices.tobytes() == other[order].astype(g.indices.dtype).tobytes()
     assert g.indptr.tobytes() == indptr.astype(g.indptr.dtype).tobytes()
@@ -844,8 +864,10 @@ def test_split_in_spans_gives_the_gathers_of_its_permutation(n, workers, monkeyp
     sp = split(t, 0.5, 0.25, seed=n)
     whole, train = (max(1, min(workers, m // sddmm.MIN_SPAN)) for m in (4 * n, 2 * n))
     # the permutation's fill and the gathers, each over all 4n, then the
-    # train part's two groupings' two passes each
-    assert chunks_run == [whole] * 2 + [train] * 4
+    # train part's work order: the service grouping's two passes and its
+    # position scatter, the user grouping's two passes, the scatter of
+    # to_service and the gather of the values
+    assert chunks_run == [whole] * 2 + [train] * 7
     perm = np.random.default_rng(n).permutation(4 * n)
     parts = (sp.train.base, sp.validation.base, sp.test.base)
     for part, idx in zip(parts, (perm[:2 * n], perm[2 * n:3 * n], perm[3 * n:])):
@@ -854,20 +876,45 @@ def test_split_in_spans_gives_the_gathers_of_its_permutation(n, workers, monkeyp
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def test_split_holds_no_more_than_its_parts_and_the_train_groupings(monkeypatch):
-    # the permutation is drawn into the values buffer and each grouping
-    # build holds only its outputs, so nothing of n entries is held
-    # beside them; 256 KiB of slack covers the shared positions
-    # (SETUP_BLOCK int64 entries, 128 KiB), a gather's block and the
-    # groupings' bounds
+def work_order_nbytes(d):
+    "What a dataset's groupings and user-major view hold."
+    um = d.user_major  # um.services is by_user.indices
+    return sum(a.nbytes for a in (d.by_user.indices, d.by_user.indptr, d.by_service.indices,
+                                  d.by_service.indptr, um.users, um.values, um.to_service))
+
+
+def test_split_holds_no_more_than_its_parts_and_the_train_work_order(monkeypatch):
+    # the permutation is drawn into the values buffer, each grouping
+    # build holds only its outputs and the work order holds one order at
+    # a time, so beyond the parts and the train work order it peaks at
+    # 4 bytes per train observation; 256 KiB of slack covers the shared
+    # positions (SETUP_BLOCK int64 entries, 128 KiB), a gather's block and
+    # the groupings' bounds
     monkeypatch.setattr(sddmm, "WORKERS", 1)
     t = distinct_cells(400_000, seed=41, nu=1000)
     sp, peak = traced_peak(lambda: split(t, 0.8, 0.1, seed=0))
     parts = sum(a.nbytes for d in (sp.train, sp.validation, sp.test)
                 for a in (d.base.users, d.base.services, d.base.values))
-    groupings = sum(a.nbytes for g in (sp.train.by_user, sp.train.by_service)
-                    for a in (g.order, g.indices, g.indptr))
-    assert peak <= parts + groupings + 256 * 1024
+    assert peak <= parts + work_order_nbytes(sp.train) + 4 * len(sp.train) + 256 * 1024
+
+
+@pytest.mark.parametrize("nu, ns", [(1000, 700), (3000, 40_000)], ids=["int16", "int32"])
+def test_train_index_holds_24_bytes_per_observation(nu, ns, monkeypatch):
+    # after set-up and a first read of the view, a train part holds its
+    # two groupings' ids (4 + 4 bytes per observation), the view's user
+    # ids (4), values (8) and to_service (4), and no grouping order
+    monkeypatch.setattr(sddmm, "WORKERS", 1)
+    t = distinct_cells(300_000, seed=43, nu=nu, ns=ns)
+    tracemalloc.start()
+    try:
+        d = build_index(t, role="train")
+        d.user_major
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bounds = d.by_user.indptr.nbytes + d.by_service.indptr.nbytes  # per group, not per observation
+    assert held <= 24 * len(t) + bounds + 64 * 1024
+    assert work_order_nbytes(d) <= held
 
 
 def test_split_and_index_peak_no_higher_on_two_workers(monkeypatch):
@@ -931,9 +978,9 @@ def test_grouping_writes_out_no_csr_data(monkeypatch):
 @pytest.mark.parametrize("num_other, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
 def test_grouped_index_dtype_follows_scipy(num_other, dtype):
     ids, other = np.array([0, 2, 1, 2]), np.array([5, num_other - 1, 0, 3])
-    g = _grouped(ids, other, (3, num_other))
+    g, order = _grouped(ids, other, (3, num_other))
     assert g.indices.dtype == g.indptr.dtype == dtype
-    assert sparse.csr_matrix((np.zeros(4), other[g.order], [0, 1, 2, 4]),
+    assert sparse.csr_matrix((np.zeros(4), other[order], [0, 1, 2, 4]),
                              shape=(3, num_other)).indices.dtype == dtype
     assert g.indices.tolist() == [5, 0, num_other - 1, 3]
     assert g.indptr.tolist() == [0, 1, 2, 4]
@@ -973,18 +1020,20 @@ def test_split_deterministic_and_seed_sensitive():
 def test_split_builds_only_the_train_groupings():
     t, _ = synth_lowrank(12, 9, rank=2, density=0.6, noise_sigma=0.0, seed=5)
     sp = split(t, 0.5, 0.25, seed=9)
-    names = ("by_user", "by_service")
-    assert all(name in vars(sp.train) for name in names)
+    assert "_built" in vars(sp.train)  # the groupings and the view, built as one
     for part in (sp.validation, sp.test):
-        assert not any(name in vars(part) for name in names)
+        assert "_built" not in vars(part)
         want = build_index(part.base)
-        for name in names:
+        for name in ("by_user", "by_service"):
             got, ref = getattr(part, name), getattr(want, name)
             assert got.shape == ref.shape
-            for field in ("order", "indices", "indptr"):
+            for field in ("indices", "indptr"):
                 a, b = getattr(got, field), getattr(ref, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert getattr(part, name) is got  # cached
+        for field in ("users", "services", "values", "to_service"):
+            a, b = getattr(part.user_major, field), getattr(want.user_major, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @st.composite

@@ -20,6 +20,7 @@ from sofactor.model import (
     gradient,
     init_factors,
     jacobian_transpose_vector,
+    l1_curvature,
     l1_gradient,
     l2_gradient,
     load_factors,
@@ -31,7 +32,7 @@ from sofactor.model import (
     save_factors,
 )
 
-from oracles import predict
+from oracles import grouping_order, predict
 
 
 def random_problem(rng, max_dim=8, max_f=3, lo=0.2, hi=1.2):
@@ -339,8 +340,9 @@ def test_data_gradient_at_exact_fit_passes_negative_zeros(workers, monkeypatch):
 
     monkeypatch.setattr(model_mod, "jacobian_transpose_vector", spy)
     got = data_gradient(x, d)
-    yhat = predict_observed(x, d.base)[d.by_user.order]
-    want_w = -(d.base.values[d.by_user.order] - yhat)
+    user_major = grouping_order(d.base.users)
+    yhat = predict_observed(x, d.base)[user_major]
+    want_w = -(d.base.values[user_major] - yhat)
     assert np.signbit(want_w).all() and not want_w.any()
     assert passed[0].tobytes() == want_w.tobytes()
     assert got.tobytes() == jacobian_transpose_vector(x, d, want_w).tobytes()
@@ -371,6 +373,32 @@ def test_l1_gradient_closed_form_and_zero_point():
     x2 = FactorState(f=1, user_factors=np.array([[0.6]]), service_factors=np.zeros((2, 1)))
     want = 0.3 * 2 * 0.6 / math.sqrt(0.36 + 1.0)
     assert l1_gradient(x2, d, h)[0] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("epsilon", [1e-8, 0.7])
+def test_l1_curvature_is_its_formula_bit_for_bit(epsilon):
+    # lambda_r1 * |K_e| * eps / (s * sqrt(s)), s = x * x + eps, each
+    # operation correctly rounded, so a scalar loop in Python floats gives
+    # the same bits whatever SIMD loops numpy picks; x spans zeros of
+    # either sign, tiny and large entries
+    rng = np.random.default_rng(23)
+    d, _ = random_problem(rng, max_dim=12)
+    f = 3
+    nu, ns = d.base.num_users, d.base.num_services
+    table = rng.standard_normal((nu + ns, f)) * 10.0 ** rng.integers(-6, 3, (nu + ns, f))
+    table[0, 0], table[-1, -1] = 0.0, -0.0
+    x = FactorState(f=f, user_factors=table[:nu], service_factors=table[nu:])
+    h = Hyperparams(f=f, lambda_r1=0.05, epsilon=epsilon)
+    counts = np.concatenate((d.by_user.counts, d.by_service.counts))
+    want = np.empty_like(table)
+    for e, row in enumerate(x.table):
+        for j, v in enumerate(row.tolist()):
+            s = v * v + epsilon
+            want[e, j] = 0.05 * int(counts[e]) * epsilon / (s * math.sqrt(s))
+    got = l1_curvature(x, d, h)
+    assert got.shape == x.table.shape and got.tobytes() == want.tobytes()
+    np.testing.assert_allclose(got, 0.05 * counts[:, None] * epsilon
+                               / np.power(x.table ** 2 + epsilon, 1.5), rtol=1e-15)
 
 
 def test_instance_frequency_weighting_in_l2():

@@ -155,7 +155,9 @@ def test_pool_under_stress_gives_the_one_worker_bytes(monkeypatch):
                 getattr(p, name).tobytes() for p in parts
                 for name in ("users", "services", "values")] + [
                 getattr(g, name).tobytes() for g in groupings
-                for name in ("order", "indices", "indptr")]
+                for name in ("indices", "indptr")] + [
+                getattr(sp.train.user_major, name).tobytes()
+                for name in ("users", "values", "to_service")]
 
     monkeypatch.setattr(sddmm, "WORKERS", 1)
     want = one_round()
