@@ -33,14 +33,12 @@ import scipy.sparse as sp
 from .sddmm import BLOCK_ROWS, run_spans, sampled_dots, span_bounds
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Set-up's passes over a span go a block at a time, so that they hold
-# nothing of one entry per observation beyond their outputs. The passes
-# that add positions read them from one shared arange of SETUP_BLOCK
-# entries and allocate nothing per block; on 2 workers, 2,048-entry
-# blocks took the key pass of a 1.6M-observation grouping from 4 to
-# 16-20 ms, as each numpy call's dispatch, under the GIL, outweighed its
-# work. The gathers that make a temporary go BLOCK_ROWS at a time, so a
-# worker thread's temporaries stay at 16 KiB.
+# Set-up runs on the calling thread, and its passes go a block at a time,
+# so that they hold nothing of one entry per observation beyond their
+# outputs. The passes that add positions read them from one shared arange
+# of SETUP_BLOCK entries (128 KiB) and allocate nothing per block; the
+# gathers that make a temporary go BLOCK_ROWS at a time, so each of their
+# temporaries stays at 16 KiB.
 SETUP_BLOCK = 16_384
 _TRIPLE = np.dtype([("u", "i8"), ("s", "i8"), ("v", "f8")])
 _ID = re.compile(r"[+-]?[0-9]+")
@@ -313,9 +311,9 @@ class SplitDataset:
     test: IndexedDataset
 
 
-def _blocks(lo: int, hi: int, size: int):
-    "The (start, stop) bounds of the blocks of range(lo, hi), size entries at most."
-    return ((a, min(a + size, hi)) for a in range(lo, hi, size))
+def _blocks(n: int, size: int):
+    "The (start, stop) bounds of the blocks of range(n), size entries at most."
+    return ((a, min(a + size, n)) for a in range(0, n, size))
 
 
 def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> tuple:
@@ -327,46 +325,29 @@ def _grouped(ids: np.ndarray, other_ids: np.ndarray, shape: tuple) -> tuple:
     The keys ``ids * n + position`` are unique and sort by id, then by
     position, so ``key % n`` is the stable grouping order whatever
     algorithm ``np.sort`` uses. They are formed in int64 whatever the
-    ids' dtype, and TripleSet bounds every key to int64.
-    The key build, the remainder and the gather of ``other_ids`` run
-    over ``span_bounds`` on the pool of ``sddmm``; the sort cannot. The
-    gather writes at least 32-bit ids, scipy's least index dtype, so
-    scipy keeps it as its indices. The keys take their positions, and
-    int16 ids are widened, a block at a time; with the group bounds found
-    in the sorted keys, the build holds nothing of n entries beyond its
-    outputs.
+    ids' dtype, and TripleSet bounds every key to int64. The keys take
+    their positions a block at a time, and the group bounds are found in
+    the sorted keys. The gather of ``other_ids`` goes straight to scipy,
+    which keeps it as its indices when it is in scipy's index dtype for
+    ``shape`` and casts it otherwise (int16 ids widen to int32), so
+    beside its outputs the build holds at most that gather.
     """
     n = len(ids)
     order = np.empty(n, dtype=np.int64)
-    other = np.empty(n, dtype=np.promote_types(other_ids.dtype, np.int32))
     steps = np.arange(min(SETUP_BLOCK, n))  # block a's positions are a + steps
-
-    def keys(lo, hi):
-        for a, b in _blocks(lo, hi, SETUP_BLOCK):
-            key = order[a:b]
-            key[...] = ids[a:b]  # a cast by assignment needs no buffer
-            key *= n
-            key += steps[:b - a]
-            key += a
-
-    def unkey(lo, hi):
-        order[lo:hi] %= n
-        if other.dtype == other_ids.dtype:
-            # order now holds a permutation of range(n), so clip never clips
-            np.take(other_ids, order[lo:hi], out=other[lo:hi], mode="clip")
-        else:  # take() cannot widen into out=
-            for a, b in _blocks(lo, hi, BLOCK_ROWS):
-                other[a:b] = other_ids.take(order[a:b])
-
-    bounds = span_bounds(n)
-    run_spans(keys, bounds)
+    for a, b in _blocks(n, SETUP_BLOCK):
+        key = order[a:b]
+        key[...] = ids[a:b]  # a cast by assignment needs no buffer
+        key *= n
+        key += steps[:b - a]
+        key += a
     del steps
     order.sort()
     # group i starts at its first key at or above i * n
     offsets = np.searchsorted(order, np.arange(shape[0] + 1) * n)
-    run_spans(unkey, bounds)
+    order %= n
     # scipy picks the index dtype for shape; its data is one zero, broadcast
-    m = sp.csr_matrix((np.broadcast_to(0.0, n), other, offsets), shape=shape)
+    m = sp.csr_matrix((np.broadcast_to(0.0, n), other_ids.take(order), offsets), shape=shape)
     return RaggedIndex(shape=shape, indices=m.indices, indptr=m.indptr), order
 
 
@@ -379,41 +360,26 @@ def _work_order(t: TripleSet) -> tuple:
     position in service order (``in_service``). With the user side's
     order, each user-major position p then gathers its value and marks
     itself in ``to_service`` at the service-order position of its
-    observation. The scatters and gathers run over ``span_bounds`` on the
-    pool of ``sddmm``: both orders are permutations, so each span writes
-    entries no other span does. The build peaks at 4 bytes per
-    observation above what it keeps: the two groupings' ids, the view's
-    user ids, values and ``to_service``, 24 bytes per observation.
+    observation. The build peaks at 4 bytes per observation above what
+    it keeps: the two groupings' ids, the view's user ids, values and
+    ``to_service``, 24 bytes per observation.
     """
     n = len(t)
     by_service, order = _grouped(t.services, t.users, (t.num_services, t.num_users))
     dtype = by_service.indptr.dtype  # holds n, so every position fits
     arange = np.arange(n, dtype=dtype)
     in_service = np.empty(n, dtype=dtype)  # each observation's position in service order
-
-    def place(lo, hi):
-        in_service[order[lo:hi]] = arange[lo:hi]
-
-    bounds = span_bounds(n)
-    run_spans(place, bounds)
+    in_service[order] = arange
     del order
     by_user, order = _grouped(t.users, t.services, (t.num_users, t.num_services))
     to_service = np.empty(n, dtype=dtype)
-
-    def link(lo, hi):
-        for a, b in _blocks(lo, hi, BLOCK_ROWS):  # the composed gather makes a temporary
-            to_service[in_service.take(order[a:b])] = arange[a:b]
-
-    run_spans(link, bounds)
+    for a, b in _blocks(n, BLOCK_ROWS):  # the composed gather makes a temporary
+        to_service[in_service.take(order[a:b])] = arange[a:b]
     del in_service, arange
     values = np.empty(n)
-
-    def gather(lo, hi):
-        # order is a permutation of range(n), so clip never clips; it lets
-        # take() write into out= without a buffer
-        np.take(t.values, order[lo:hi], out=values[lo:hi], mode="clip")
-
-    run_spans(gather, bounds)
+    # order is a permutation of range(n), so clip never clips; it lets
+    # take() write into out= without a buffer
+    np.take(t.values, order, out=values, mode="clip")
     del order
     indptr = by_user.indptr
     users = np.repeat(np.arange(len(indptr) - 1, dtype=dtype), np.diff(indptr))
@@ -654,8 +620,7 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     train first. They are contiguous slices of one buffer per column,
     12 or 16 bytes per observation as in t, and no permutation is held
     beside them: it is drawn into the values buffer, which the values
-    then overwrite. The fill and the gathers run over ``span_bounds`` on
-    the pool of ``sddmm``; the shuffle, one random stream, cannot.
+    then overwrite. Like all of set-up, it runs on the calling thread.
     Only the train part's groupings and user-major view are built here,
     in set-up (``build_index``); the validation and test parts build
     theirs on first use, if any, since evaluation reads only ``base``.
@@ -671,30 +636,23 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
             f"(sizes {n_train}/{n_val}/{n_test})")
     # one buffer per column, filled in permuted order; the permutation is
     # drawn into the values buffer as default_rng(seed).permutation(n)
-    # draws it, an arange shuffled in place, and each span overwrites its
-    # entries with the values they pick once it has gathered their ids
+    # draws it, an arange shuffled in place, and each block of the gather
+    # overwrites its entries with the values they pick once all the ids
+    # are gathered
     users = np.empty(n, dtype=t.users.dtype)
     services = np.empty(n, dtype=t.services.dtype)
     values = np.empty(n)
     perm = values.view(np.int64)
     steps = np.arange(min(SETUP_BLOCK, n))
-
-    def count(lo, hi):
-        for a, b in _blocks(lo, hi, SETUP_BLOCK):
-            np.add(steps[:b - a], a, out=perm[a:b])
-
-    def gather(lo, hi):
-        # perm lies in range(n), so clip never clips
-        np.take(t.users, perm[lo:hi], out=users[lo:hi], mode="clip")
-        np.take(t.services, perm[lo:hi], out=services[lo:hi], mode="clip")
-        for a, b in _blocks(lo, hi, BLOCK_ROWS):
-            values[a:b] = t.values.take(perm[a:b])
-
-    bounds = span_bounds(n)
-    run_spans(count, bounds)
+    for a, b in _blocks(n, SETUP_BLOCK):
+        np.add(steps[:b - a], a, out=perm[a:b])
     del steps
     np.random.default_rng(seed).shuffle(perm)
-    run_spans(gather, bounds)
+    # perm lies in range(n), so clip never clips
+    np.take(t.users, perm, out=users, mode="clip")
+    np.take(t.services, perm, out=services, mode="clip")
+    for a, b in _blocks(n, BLOCK_ROWS):
+        values[a:b] = t.values.take(perm[a:b])
 
     def part(lo, hi):
         # slices of one permutation's gathers, so the parts are disjoint

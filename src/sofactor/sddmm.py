@@ -8,13 +8,15 @@ block's gathered rows cache-resident, and each block applies the same
 row-wise einsum as the unblocked form, so the output is bitwise
 identical to it.
 
-Large calls split their output into the contiguous spans of
-``span_bounds``, which decides every split in the library, and run them
-on one per-process pool of WORKERS threads, one per CPU this process
-may run on (``run_spans``). numpy's ``take`` and ``einsum`` and scipy's
-sparse products release the GIL, so the spans run at once. Every output
-element goes through the same operations whichever span holds it, so no
-byte depends on the worker count.
+The pool serves the per-epoch passes over all observations: these dots
+and the weighted sums of ``data.RaggedIndex``. Large calls split their
+output into the contiguous spans of ``span_bounds``, which decides every
+split in the library, and run them on one per-process pool of WORKERS
+threads, one per CPU this process may run on (``run_spans``). numpy's
+``take`` and ``einsum`` and scipy's sparse products release the GIL, so
+the spans run at once. Every output element goes through the same
+operations whichever span holds it, so no byte depends on the worker
+count. Set-up, which runs once, runs on the calling thread.
 
 ``dot`` is the library's one inner product: CG's inner products and
 the residual sums of RMSE and the loss go through it, so one function

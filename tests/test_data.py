@@ -713,7 +713,6 @@ def test_weighted_sums_at_any_worker_count_give_the_serial_bytes(
     assert not want[[0, 1, -2, -1]].any()
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
-    chunks_run.clear()  # of the index build
     assert np.array_equal(index.weighted_sums(w, rows), want)
     # about 5 observations per group, so no two span bounds fall in one
     # group: one chunk per span
@@ -736,7 +735,6 @@ def test_weighted_sums_merge_chunks_inside_one_dominant_group(workers, monkeypat
     want = serial_sums(index, w, rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
-    chunks_run.clear()  # of the index build
     assert np.array_equal(index.weighted_sums(w, rows), want)
     assert chunks_run == [{1: 1, 2: 2, 3: 2}[workers]]  # at 3, two merged
 
@@ -764,7 +762,6 @@ def test_weighted_sums_gather_their_weights_per_chunk(extra, workers, monkeypatc
     want = serial_sums(index, w[positions], rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
-    chunks_run.clear()  # of the index build
     out = np.empty((nu, f))
     got = index.weighted_sums(w, rows, positions=positions, out=out)
     assert got is out
@@ -785,7 +782,6 @@ def test_weighted_sums_of_two_min_spans_run_in_two_chunks(monkeypatch, chunks_ru
     want_service = serial_sums(d.by_service, w[d.user_major.to_service], user_rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", 2)
-    chunks_run.clear()  # of the index and view builds
     assert d.user_weighted_sums(w, service_rows).tobytes() == want_user.tobytes()
     assert d.service_weighted_sums(w, user_rows).tobytes() == want_service.tobytes()
     assert chunks_run == [2, 2]
@@ -799,17 +795,14 @@ def test_weighted_sums_reject_positions_and_out_of_another_shape():
         index.weighted_sums(np.ones(6), np.ones((3, 2)), out=np.empty((4, 3)))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_user_major_view_built_in_spans_gives_its_serial_definition(
-        extra, workers, monkeypatch):
-    # the scatters and the gathers of the view split from 2 * MIN_SPAN on
-    n = 2 * sddmm.MIN_SPAN + extra
+def test_user_major_view_gives_its_serial_definition(extra):
+    # n just below, at and just above SETUP_BLOCK, the block of the keys
+    n = data_mod.SETUP_BLOCK + extra
     nu, ns = 3000, 700
     rng = np.random.default_rng(n)
     cells = rng.choice(nu * ns, size=n, replace=False)
     t = TripleSet(nu, ns, cells // ns, cells % ns, rng.standard_normal(n))
-    monkeypatch.setattr(sddmm, "WORKERS", workers)
     d = build_index(t)
     um = d.user_major
     by_user, by_service = grouping_order(t.users), grouping_order(t.services)
@@ -823,19 +816,15 @@ def test_user_major_view_built_in_spans_gives_its_serial_definition(
     assert um.services is d.by_user.indices
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n", [2 * sddmm.MIN_SPAN - 1, 2 * sddmm.MIN_SPAN,
-                               2 * sddmm.MIN_SPAN + 1, 3 * sddmm.MIN_SPAN + 5])
-def test_grouping_in_spans_gives_its_serial_definition(n, workers, monkeypatch, chunks_run):
-    # the key build, and the remainder with the gather, each split from
-    # 2 * MIN_SPAN on; the sort between them runs whole
+@pytest.mark.parametrize("n", [data_mod.SETUP_BLOCK - 1, data_mod.SETUP_BLOCK,
+                               data_mod.SETUP_BLOCK + 1, 3 * data_mod.SETUP_BLOCK // 2 + 5])
+def test_grouping_gives_its_serial_definition(n):
+    # the keys take their positions a SETUP_BLOCK at a time: n fills
+    # less than, exactly and more than one block, and one and a half
     rng = np.random.default_rng(n)
     ids = rng.integers(0, 3000, n)
     other = rng.integers(0, 700, n)
-    monkeypatch.setattr(sddmm, "WORKERS", workers)
     g, got_order = _grouped(ids, other, (3000, 700))
-    spans = max(1, min(workers, n // sddmm.MIN_SPAN))
-    assert chunks_run == [spans, spans]
     order = grouping_order(ids)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=3000))])
     assert got_order.dtype == np.int64 and got_order.tobytes() == order.tobytes()
@@ -853,27 +842,51 @@ def distinct_cells(n, seed, nu=3000, ns=700):
     return TripleSet(nu, ns, cells // ns, cells % ns, rng.standard_normal(n))
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("n", [2 * sddmm.MIN_SPAN - 1, 2 * sddmm.MIN_SPAN,
-                               2 * sddmm.MIN_SPAN + 1, 3 * sddmm.MIN_SPAN + 5])
-def test_split_in_spans_gives_the_gathers_of_its_permutation(n, workers, monkeypatch, chunks_run):
-    # 4n observations split 1/2, 1/4, 1/4: the validation and test parts
-    # hold n each, just below, at and above the least that splits
+@pytest.mark.parametrize("n", [data_mod.SETUP_BLOCK - 1, data_mod.SETUP_BLOCK,
+                               data_mod.SETUP_BLOCK + 1, 3 * data_mod.SETUP_BLOCK // 2 + 5])
+def test_split_gives_the_gathers_of_its_permutation(n):
+    # 4n observations split 1/2, 1/4, 1/4; the permutation's fill, a
+    # SETUP_BLOCK at a time, ends in a whole or a partial block
     t = distinct_cells(4 * n, seed=n)
-    monkeypatch.setattr(sddmm, "WORKERS", workers)
     sp = split(t, 0.5, 0.25, seed=n)
-    whole, train = (max(1, min(workers, m // sddmm.MIN_SPAN)) for m in (4 * n, 2 * n))
-    # the permutation's fill and the gathers, each over all 4n, then the
-    # train part's work order: the service grouping's two passes and its
-    # position scatter, the user grouping's two passes, the scatter of
-    # to_service and the gather of the values
-    assert chunks_run == [whole] * 2 + [train] * 7
     perm = np.random.default_rng(n).permutation(4 * n)
     parts = (sp.train.base, sp.validation.base, sp.test.base)
     for part, idx in zip(parts, (perm[:2 * n], perm[2 * n:3 * n], perm[3 * n:])):
         for name in ("users", "services", "values"):
             got, want = getattr(part, name), getattr(t, name)[idx]
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def set_up_arrays(d):
+    "Every array of a dataset's stored observations, groupings and user-major view."
+    um = d.user_major
+    return [d.base.users, d.base.services, d.base.values, d.by_user.indices,
+            d.by_user.indptr, d.by_service.indices, d.by_service.indptr,
+            um.users, um.services, um.values, um.to_service]
+
+
+def test_set_up_starts_no_pool_at_any_worker_count(monkeypatch):
+    # split (the train part's work order with it) and build_index run on
+    # the calling thread: on two workers, with a pool that cannot start,
+    # they give the one-worker bytes at 4 * MIN_SPAN observations, where
+    # a pooled pass over the whole set or the train part would split
+    t = distinct_cells(4 * sddmm.MIN_SPAN, seed=47)
+
+    def set_up():
+        sp = split(t, 0.8, 0.1, seed=3)
+        return [a for d in (sp.train, sp.validation, sp.test, build_index(t))
+                for a in set_up_arrays(d)]
+
+    monkeypatch.setattr(sddmm, "WORKERS", 1)
+    want = set_up()
+
+    def no_pool():
+        raise AssertionError("set-up started the pool")
+
+    monkeypatch.setattr(sddmm, "WORKERS", 2)
+    monkeypatch.setattr(sddmm, "_executor", no_pool)
+    for got, ref in zip(set_up(), want, strict=True):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
 def work_order_nbytes(d):
@@ -883,14 +896,13 @@ def work_order_nbytes(d):
                                   d.by_service.indptr, um.users, um.values, um.to_service))
 
 
-def test_split_holds_no_more_than_its_parts_and_the_train_work_order(monkeypatch):
+def test_split_holds_no_more_than_its_parts_and_the_train_work_order():
     # the permutation is drawn into the values buffer, each grouping
     # build holds only its outputs and the work order holds one order at
     # a time, so beyond the parts and the train work order it peaks at
     # 4 bytes per train observation; 256 KiB of slack covers the shared
     # positions (SETUP_BLOCK int64 entries, 128 KiB), a gather's block and
     # the groupings' bounds
-    monkeypatch.setattr(sddmm, "WORKERS", 1)
     t = distinct_cells(400_000, seed=41, nu=1000)
     sp, peak = traced_peak(lambda: split(t, 0.8, 0.1, seed=0))
     parts = sum(a.nbytes for d in (sp.train, sp.validation, sp.test)
@@ -899,11 +911,10 @@ def test_split_holds_no_more_than_its_parts_and_the_train_work_order(monkeypatch
 
 
 @pytest.mark.parametrize("nu, ns", [(1000, 700), (3000, 40_000)], ids=["int16", "int32"])
-def test_train_index_holds_24_bytes_per_observation(nu, ns, monkeypatch):
+def test_train_index_holds_24_bytes_per_observation(nu, ns):
     # after set-up and a first read of the view, a train part holds its
     # two groupings' ids (4 + 4 bytes per observation), the view's user
     # ids (4), values (8) and to_service (4), and no grouping order
-    monkeypatch.setattr(sddmm, "WORKERS", 1)
     t = distinct_cells(300_000, seed=43, nu=nu, ns=ns)
     tracemalloc.start()
     try:
@@ -915,26 +926,6 @@ def test_train_index_holds_24_bytes_per_observation(nu, ns, monkeypatch):
     bounds = d.by_user.indptr.nbytes + d.by_service.indptr.nbytes  # per group, not per observation
     assert held <= 24 * len(t) + bounds + 64 * 1024
     assert work_order_nbytes(d) <= held
-
-
-def test_split_and_index_peak_no_higher_on_two_workers(monkeypatch):
-    # the pooled passes allocate every output on the calling thread, so
-    # a second worker adds no temporaries at once; 64 KB of slack for
-    # the pool's own bookkeeping
-    t = distinct_cells(3 * sddmm.MIN_SPAN, seed=29)
-
-    def peak(workers):
-        monkeypatch.setattr(sddmm, "WORKERS", workers)
-        split(t, 0.8, 0.1, seed=0)  # starts the pool, if it runs on one
-
-        def split_and_index():
-            sp = split(t, 0.8, 0.1, seed=0)
-            build_index(sp.test.base)
-
-        return traced_peak(split_and_index)[1]
-
-    serial = peak(1)
-    assert peak(2) <= serial + 64 * 1024
 
 
 def serial_grouping(ids, other_ids, shape):
@@ -949,29 +940,27 @@ def serial_grouping(ids, other_ids, shape):
     sparse.csr_matrix((np.zeros(n), other_ids[order], offsets), shape=shape)
 
 
-def grouping_peaks(monkeypatch):
-    "(n, traced peak of serial_grouping, traced peak of _grouped) on two workers."
+def grouping_peaks():
+    "(n, traced peak of serial_grouping, traced peak of _grouped)."
     rng = np.random.default_rng(31)
     n = 3 * sddmm.MIN_SPAN
     ids, other = rng.integers(0, 3000, n), rng.integers(0, 700, n)
-    monkeypatch.setattr(sddmm, "WORKERS", 2)
-    _grouped(ids, other, (3000, 700))  # starts the pool, if it runs on one
     peaks = [traced_peak(lambda: build(ids, other, (3000, 700)))[1]
              for build in (serial_grouping, _grouped)]
     return n, *peaks
 
 
-def test_grouping_in_spans_holds_no_more_at_once_than_one_serial_build(monkeypatch):
+def test_grouping_holds_no_more_at_once_than_one_serial_build():
     # a position array kept alive through the gather would add 8 bytes
     # per observation to the peak
-    _, serial, grouped = grouping_peaks(monkeypatch)
+    _, serial, grouped = grouping_peaks()
     assert grouped <= serial + 64 * 1024
 
 
-def test_grouping_writes_out_no_csr_data(monkeypatch):
+def test_grouping_writes_out_no_csr_data():
     # the csr_matrix that picks the index dtype gets a broadcast zero as
     # its data, where the serial build writes out n float64 zeros
-    n, serial, grouped = grouping_peaks(monkeypatch)
+    n, serial, grouped = grouping_peaks()
     assert grouped <= serial - 6 * n
 
 
