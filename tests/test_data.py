@@ -685,7 +685,7 @@ def serial_sums(index, w, rows):
 
 @pytest.fixture
 def chunks_run(monkeypatch):
-    "The chunk count of each run_spans call that the weighted sums make."
+    "The chunk count of each run_spans call in data: only the weighted sums make one."
     counts = []
 
     def counted(fn, bounds):
@@ -795,14 +795,27 @@ def test_weighted_sums_reject_positions_and_out_of_another_shape():
         index.weighted_sums(np.ones(6), np.ones((3, 2)), out=np.empty((4, 3)))
 
 
+def bar_pool(monkeypatch, workers):
+    """Set WORKERS and make the pool fail to start: set-up runs on the
+    calling thread, so it must give its serial bytes all the same."""
+    def no_pool():
+        raise AssertionError("set-up started the pool")
+
+    monkeypatch.setattr(sddmm, "WORKERS", workers)
+    monkeypatch.setattr(sddmm, "_executor", no_pool)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_user_major_view_gives_its_serial_definition(extra):
-    # n just below, at and just above SETUP_BLOCK, the block of the keys
+def test_user_major_view_gives_its_serial_definition(extra, workers, monkeypatch, chunks_run):
+    # n just below, at and just above SETUP_BLOCK, the block of the keys;
+    # SETUP_BLOCK is 2 * MIN_SPAN, from where a pooled pass would split
     n = data_mod.SETUP_BLOCK + extra
     nu, ns = 3000, 700
     rng = np.random.default_rng(n)
     cells = rng.choice(nu * ns, size=n, replace=False)
     t = TripleSet(nu, ns, cells // ns, cells % ns, rng.standard_normal(n))
+    bar_pool(monkeypatch, workers)
     d = build_index(t)
     um = d.user_major
     by_user, by_service = grouping_order(t.users), grouping_order(t.services)
@@ -814,17 +827,21 @@ def test_user_major_view_gives_its_serial_definition(extra):
     assert np.array_equal(um.to_service, position[by_service])
     assert np.array_equal(um.users, t.users[by_user])
     assert um.services is d.by_user.indices
+    assert chunks_run == []  # no pooled pass
 
 
 @pytest.mark.parametrize("n", [data_mod.SETUP_BLOCK - 1, data_mod.SETUP_BLOCK,
                                data_mod.SETUP_BLOCK + 1, 3 * data_mod.SETUP_BLOCK // 2 + 5])
-def test_grouping_gives_its_serial_definition(n):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_grouping_gives_its_serial_definition(n, workers, monkeypatch, chunks_run):
     # the keys take their positions a SETUP_BLOCK at a time: n fills
     # less than, exactly and more than one block, and one and a half
     rng = np.random.default_rng(n)
     ids = rng.integers(0, 3000, n)
     other = rng.integers(0, 700, n)
+    bar_pool(monkeypatch, workers)
     g, got_order = _grouped(ids, other, (3000, 700))
+    assert chunks_run == []  # no pooled pass
     order = grouping_order(ids)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(ids, minlength=3000))])
     assert got_order.dtype == np.int64 and got_order.tobytes() == order.tobytes()
@@ -844,11 +861,14 @@ def distinct_cells(n, seed, nu=3000, ns=700):
 
 @pytest.mark.parametrize("n", [data_mod.SETUP_BLOCK - 1, data_mod.SETUP_BLOCK,
                                data_mod.SETUP_BLOCK + 1, 3 * data_mod.SETUP_BLOCK // 2 + 5])
-def test_split_gives_the_gathers_of_its_permutation(n):
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_gives_the_gathers_of_its_permutation(n, workers, monkeypatch, chunks_run):
     # 4n observations split 1/2, 1/4, 1/4; the permutation's fill, a
     # SETUP_BLOCK at a time, ends in a whole or a partial block
     t = distinct_cells(4 * n, seed=n)
+    bar_pool(monkeypatch, workers)
     sp = split(t, 0.5, 0.25, seed=n)
+    assert chunks_run == []  # no pooled pass, the train work order's included
     perm = np.random.default_rng(n).permutation(4 * n)
     parts = (sp.train.base, sp.validation.base, sp.test.base)
     for part, idx in zip(parts, (perm[:2 * n], perm[2 * n:3 * n], perm[3 * n:])):
@@ -879,12 +899,7 @@ def test_set_up_starts_no_pool_at_any_worker_count(monkeypatch):
 
     monkeypatch.setattr(sddmm, "WORKERS", 1)
     want = set_up()
-
-    def no_pool():
-        raise AssertionError("set-up started the pool")
-
-    monkeypatch.setattr(sddmm, "WORKERS", 2)
-    monkeypatch.setattr(sddmm, "_executor", no_pool)
+    bar_pool(monkeypatch, 2)
     for got, ref in zip(set_up(), want, strict=True):
         assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
