@@ -188,11 +188,13 @@ def run_benchmark(data: TripleSet,
 
     configs are (label, train_frac, val_frac) splitting recipes applied
     to the in-memory TripleSet data with each seed; the same seed drives
-    both the split and the factor init of its run. h may be a single
-    Hyperparams shared by all models or a mapping from model name to
-    per-model settings. Row order is configs as given, models in fixed
-    presentation order (SGDM, SLF, DRSLF), independent of the order
-    requested.
+    both the split and the factor init of its runs. Each (config, seed)
+    is split once, and every model trains on that split, so ``log``
+    gets its lines seed by seed, each seed's models in row order. h may
+    be a single Hyperparams shared by all models or a mapping from model
+    name to per-model settings. Row order is configs as given, models in
+    fixed presentation order (SGDM, SLF, DRSLF), independent of the
+    order requested.
     """
     if len(models) == 0:
         raise ValueError("no models requested")
@@ -225,23 +227,26 @@ def run_benchmark(data: TripleSet,
     ordered = sorted(models, key=lambda m: _MODEL_ORDER[m.name])
     rows = []
     for label, train_frac, val_frac in configs:
-        for kind in ordered:
-            rmses, epochs = [], []
-            for seed in seeds:
-                sp = split(data, train_frac, val_frac, seed)
-                hh = replace(h_for(kind.name), seed=seed)
-                _, report = train(sp, hh, kind)
-                rmses.append(report.final_test_rmse)
-                epochs.append(report.best_epoch)
+        runs = {kind.name: [] for kind in ordered}  # (test RMSE, best epoch) per seed
+        for seed in seeds:
+            # the split depends on the config and the seed only: every
+            # model trains on one, and one is held at a time
+            sp = split(data, train_frac, val_frac, seed)
+            for kind in ordered:
+                _, report = train(sp, replace(h_for(kind.name), seed=seed), kind)
+                runs[kind.name].append((report.final_test_rmse, report.best_epoch))
                 if log is not None:
                     print(f"{label} {kind.name} seed={seed} "
                           f"test_rmse={report.final_test_rmse:.5f} "
                           f"best_epoch={report.best_epoch}", file=log)
+            del sp
+        for kind in ordered:
+            rmses, epochs = zip(*runs[kind.name])
             rows.append(BenchRow(
                 dataset=label, model=kind.name,
                 mean_rmse=sum(rmses) / len(rmses),
                 mean_best_epoch=sum(epochs) / len(epochs),
                 seeds=len(seeds),
-                seed_rmses=tuple(rmses),
-                seed_best_epochs=tuple(epochs)))
+                seed_rmses=rmses,
+                seed_best_epochs=epochs))
     return BenchTable(rows=tuple(rows))

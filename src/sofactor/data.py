@@ -58,7 +58,9 @@ class TripleSet:
     and float64 values, 12 bytes per observation with int16 ids and 16
     with int32 ones. Every sum or product of ids is formed in int64 or
     in Python ints, never in the ids' own dtype. Invariants checked on
-    construction: ids in range, values finite, no duplicate (user,
+    construction: integer dimensions and, unless there are no
+    observations, an integer id dtype (a float or bool id is rejected,
+    not truncated), ids in range, values finite, no duplicate (user,
     service) pair, and ``max(num_users * num_services, max(num_users,
     num_services) * len)`` within int64, so that the sort keys of the
     duplicate check and of ``build_index``, formed in int64, are exact.
@@ -80,6 +82,16 @@ class TripleSet:
     values: np.ndarray
 
     def __post_init__(self):
+        # checked before any cast: int() truncates 2.5, and a float or
+        # bool id array would be truncated or read as 0 and 1
+        for name in ("num_users", "num_services"):
+            dim = getattr(self, name)
+            if isinstance(dim, (bool, np.bool_)) or not isinstance(dim, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {dim!r}")
+        for name in ("users", "services"):
+            ids = np.asarray(getattr(self, name))
+            if ids.size and ids.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold integer ids, got dtype {ids.dtype}")
         self._normalise(np.int64)
         nu, ns = int(self.num_users), int(self.num_services)
         if len(self) > 0:

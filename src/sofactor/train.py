@@ -134,6 +134,36 @@ class BestSnapshot:
         return False
 
 
+def _level_schedule(u_seq, s_seq, num_users, num_services):
+    """The level schedule of the observation sequence (u_seq, s_seq):
+    ``(by_level, sizes)``, where ``by_level`` is the stable argsort of the
+    observations' levels and ``sizes[l - 1]`` is the number of
+    observations of level l, for every level from 1 to the top one.
+
+    An observation's level is one more than the larger of the levels of
+    the last earlier observation on its user and on its service. The
+    levels are assigned in one Python pass. A stable sort's permutation
+    is fixed by the keys' order alone, so the levels are sorted on a
+    uint16 key, which numpy radix-sorts, when the top level is below
+    2^16, and on int64 otherwise.
+    """
+    level = []
+    last_u = [0] * num_users
+    last_s = [0] * num_services
+    # a memoryview yields each id as a Python int as it goes, faster than
+    # tolist() and without two lists of every id
+    for u, s in zip(memoryview(u_seq), memoryview(s_seq)):
+        lu = last_u[u]
+        ls = last_s[s]
+        lv = (lu if lu > ls else ls) + 1
+        last_u[u] = lv
+        last_s[s] = lv
+        level.append(lv)
+    top = max(last_u, default=0)  # every level is some user's last
+    level = np.fromiter(level, np.uint16 if top < 1 << 16 else np.int64, len(level))
+    return np.argsort(level, kind="stable"), np.bincount(level, minlength=top + 1)[1:]
+
+
 def _sgdm_epoch(users, services, values, order, X, V, num_users,
                 lr, momentum, lam2):
     """One SGDM pass over ``order``, updating the factor table X and the
@@ -142,24 +172,23 @@ def _sgdm_epoch(users, services, values, order, X, V, num_users,
     rows (service s at row num_users + s), as ``FactorState.table`` does.
 
     The result is bit for bit that of visiting ``order`` one observation
-    at a time. The pass is level scheduled: an observation's level is one
-    more than the larger of the levels of the last earlier observation on
-    its user and on its service. No two observations of one level share
-    a user or a service, so each level is updated at once: every
-    observation reads exactly the rows the serial order would give it,
-    and every write lands on a distinct row. Levels run in increasing
-    order.
+    at a time. The pass is level scheduled (``_level_schedule``): no two
+    observations of one level share a user or a service, so each level
+    is updated at once: every observation reads exactly the rows the
+    serial order would give it, and every write lands on a distinct row.
+    Levels run in increasing order.
 
     The level count is at least the largest number of observations on
     one user or one service in ``order``; if one entity appears in every
     observation, each level holds a single observation.
 
-    One index run into the tables is built per epoch, laid out level by
-    level: a level's user rows, then its service rows, so a row's
-    partner sits at the same position in the other half. A level
-    gathers its factor and velocity rows, updates both halves with the
-    scalar loop's elementwise operations in its order, and scatters the
-    rows back. The error is one ``np.subtract.reduce`` down a column
+    One index run into the tables is built per epoch from the level
+    sizes, laid out level by level: a level's user rows, then its service
+    rows, so a row's partner sits at the same position in the other half.
+    A level gathers its factor and velocity rows, updates both halves
+    with the scalar loop's elementwise operations in its order, and
+    scatters the rows back through 1-D views of the tables with one
+    item per row. The error is one ``np.subtract.reduce`` down a column
     buffer whose first row holds the values and whose later rows hold the
     factor products, so it subtracts left to right as a scalar loop over
     the factor index does.
@@ -167,31 +196,24 @@ def _sgdm_epoch(users, services, values, order, X, V, num_users,
     f = X.shape[1]
     u_seq = users[order]
     s_seq = services[order]
-    level = []
-    last_u = [0] * num_users
-    last_s = [0] * (X.shape[0] - num_users)
-    for u, s in zip(u_seq.tolist(), s_seq.tolist()):
-        lu = last_u[u]
-        ls = last_s[s]
-        lv = (lu if lu > ls else ls) + 1
-        last_u[u] = lv
-        last_s[s] = lv
-        level.append(lv)
-    level = np.array(level, dtype=np.int64)
-    by_level = np.argsort(level, kind="stable")
-    level = level[by_level]
+    by_level, sizes = _level_schedule(u_seq, s_seq, num_users, X.shape[0] - num_users)
     val_seq = values[order[by_level]]
-    ends = np.cumsum(np.bincount(level))
-    # sorted position i of a level spanning [start, stop) puts its user
-    # row at i + start and its service row at i + stop in the index run
-    at = np.arange(len(order))
+    # each level's user rows, then its service rows; the ids widen to
+    # int64 as they are written
+    is_service = np.repeat(np.tile([False, True], len(sizes)), np.repeat(sizes, 2))
     idx = np.empty(2 * len(order), dtype=np.int64)
-    idx[at + ends[level - 1]] = u_seq[by_level]
-    idx[at + ends[level]] = np.add(s_seq[by_level], num_users, dtype=np.int64)
+    idx[~is_service] = u_seq[by_level]
+    idx[is_service] = np.add(s_seq[by_level], num_users, dtype=np.int64)
+    del u_seq, s_seq, by_level, is_service  # the levels read only idx and val_seq
 
-    terms = np.empty((f + 1, np.diff(ends).max(initial=0)))
-    ends = ends.tolist()
-    for start, stop in zip(ends[:-1], ends[1:]):
+    row = np.dtype((np.void, 8 * f))  # one table row as one item
+    X_rows = X.view(row).reshape(-1)
+    V_rows = V.view(row).reshape(-1)
+    big = int(sizes.max(initial=0))
+    terms = np.empty((f + 1, big))
+    g_buf = np.empty(2 * big * f)
+    ends = np.cumsum(sizes).tolist()
+    for start, stop in zip([0] + ends, ends):
         m = stop - start
         rows = idx[2 * start:2 * stop]
         R = X.take(rows, axis=0)
@@ -209,14 +231,17 @@ def _sgdm_epoch(users, services, values, order, X, V, num_users,
         # the scalar loop's operations in its order, the partner of a row
         # being the same position in the other half:
         # g = -err * partner + lam2 * row; v = momentum * v - lr * g; row += v
-        g = halves[::-1] * neg_err[:, None]
+        # (-err is expanded to one entry per factor: a stride-0 broadcast
+        # along the factors is slower)
+        g = np.multiply(halves[::-1], neg_err.repeat(f).reshape(m, f),
+                        out=g_buf[:2 * m * f].reshape(2, m, f))
         g += lam2 * halves
         Vr *= momentum
         g *= lr
         Vr -= g.reshape(2 * m, f)
         R += Vr
-        V[rows] = Vr
-        X[rows] = R
+        V_rows[rows] = Vr.view(row).reshape(-1)
+        X_rows[rows] = R.view(row).reshape(-1)
 
 
 def _second_order_steps(x: FactorState, data: IndexedDataset, h: Hyperparams):

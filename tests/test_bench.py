@@ -280,3 +280,41 @@ def test_bench_table_csv_layout():
     assert cells[0] == "tiny" and cells[1] == "SGDM" and cells[4] == "2"
     text = table.to_text()
     assert "per-seed rmse" in text and "tiny" in text
+
+
+BENCH_CONFIGS = [("tiny", 0.6, 0.2), ("half", 0.5, 0.25)]
+BENCH_MODELS = [OptimizerKind.drslf(), OptimizerKind.sgdm(0.05, 0.5), OptimizerKind.slf()]
+
+
+def test_run_benchmark_splits_each_config_and_seed_once(monkeypatch):
+    t, _ = tiny_problem()
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:])
+        return split(*args)
+
+    monkeypatch.setattr(bench_mod, "split", counting)
+    log = io.StringIO()
+    run_benchmark(t, BENCH_CONFIGS, [0, 1], BENCH_MODELS, fast_h(max_epochs=2), log=log)
+    assert calls == [(0.6, 0.2, 0), (0.6, 0.2, 1), (0.5, 0.25, 0), (0.5, 0.25, 1)]
+    # progress comes seed by seed, each seed's models in row order
+    assert [line.split()[:3] for line in log.getvalue().splitlines()] == [
+        [label, model, f"seed={seed}"] for label in ("tiny", "half") for seed in (0, 1)
+        for model in ("SGDM", "SLF", "DRSLF")]
+
+
+def test_run_benchmark_csv_keeps_its_bytes():
+    # the table of the build that split once per (config, model, seed)
+    t, _ = tiny_problem()
+    table = run_benchmark(t, BENCH_CONFIGS, [0, 1], BENCH_MODELS, fast_h())
+    assert table.to_csv() == (
+        "dataset,model,mean_rmse,mean_best_epoch,seeds\n"
+        "tiny,SGDM,0.0967417997736617,4.5,2\n"
+        "tiny,SLF,0.1738093157950844,4.5,2\n"
+        "tiny,DRSLF,0.17131648108972797,4.5,2\n"
+        "half,SGDM,0.10342876377657931,4.5,2\n"
+        "half,SLF,0.1726739073431629,4.5,2\n"
+        "half,DRSLF,0.16992248098076645,4.5,2\n")
+    assert table.rows[0].seed_rmses == (0.0339008726981584, 0.159582726849165)
+    assert table.rows[0].seed_best_epochs == (1, 8)

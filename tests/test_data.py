@@ -123,6 +123,31 @@ def test_tripleset_checks_ids_before_narrowing_them(users, msg):
         TripleSet(6, 2, np.array(users), np.array([0, 1]), np.ones(2))
 
 
+@pytest.mark.parametrize("args, msg", [
+    # a cast would truncate these to users [0, 1] and services [2, 0]
+    ((3, 3, [0.5, 1.7], [2.9, 0.0]), "users must hold integer ids, got dtype float64"),
+    # a cast of NaN warns, then reads as a negative id
+    ((3, 3, [0, 1], np.array([np.nan, 1.0])), "services must hold integer ids, got dtype float64"),
+    ((3, 3, np.array([True, False]), [0, 1]), "users must hold integer ids, got dtype bool"),
+    # would be built, then fail in build_index
+    ((2.5, 3, [0, 1], [0, 1]), r"num_users must be an integer, got 2\.5"),
+    ((2, 3.0, [0, 1], [0, 1]), r"num_services must be an integer, got 3\.0"),
+    ((True, 3, [0], [0]), "num_users must be an integer, got True"),
+])
+def test_tripleset_rejects_ids_and_dimensions_that_are_not_integers(args, msg):
+    # rejected before any cast, so no RuntimeWarning escapes first
+    with pytest.raises(ValueError, match=msg):
+        TripleSet(*args, np.ones(len(args[2])))
+
+
+def test_tripleset_takes_an_empty_id_array_of_any_dtype():
+    # np.empty(0) is float64, yet holds no id to truncate
+    t = TripleSet(3, 2, np.empty(0), np.empty(0), np.empty(0))
+    assert len(t) == 0 and t.users.dtype == np.int16
+    t = TripleSet(np.int64(3), np.uint16(2), np.array([2], np.uint8), [1], [0.5])
+    assert (t.users.tolist(), t.services.tolist()) == ([2], [1])
+
+
 def test_pair_keys_of_int32_ids_are_formed_in_int64():
     # 2**30 * 4 wraps to 0 in int32, the key of pair (0, 0)
     assert len(TripleSet(2**30 + 1, 4, np.array([0, 2**30]), np.array([0, 0]), np.ones(2))) == 2

@@ -17,9 +17,12 @@ from sofactor.train import (
     EpochRecord,
     OptimizerKind,
     TrainReport,
+    _level_schedule,
     _sgdm_epoch,
     train,
 )
+
+from oracles import traced_peak
 
 
 def make_split(seed=0, nu=25, ns=30, rank=2, noise=0.02):
@@ -217,6 +220,75 @@ def test_sgdm_carries_velocity_across_epochs():
                           np.zeros_like(xu), np.zeros_like(xs), 0.05, 0.6, h.lambda_r2)
     np.testing.assert_array_equal(got.user_factors, xu)
     np.testing.assert_array_equal(got.service_factors, xs)
+
+
+def levels_by_definition(u_seq, s_seq):
+    "Each observation's level: one above the last earlier one on its user or its service."
+    last_u, last_s, levels = {}, {}, []
+    for u, s in zip(u_seq.tolist(), s_seq.tolist()):
+        level = max(last_u.get(u, 0), last_s.get(s, 0)) + 1
+        last_u[u] = last_s[s] = level
+        levels.append(level)
+    return np.array(levels, dtype=np.int64)
+
+
+def top_level_case(top):
+    """(u_seq, s_seq, num_users, num_services) whose top level is ``top``:
+    user 0 visits ``top`` services of its own in turn, and users 1-4
+    share 300 other services, shuffled in among user 0's observations."""
+    rng = np.random.default_rng(13)
+    cells = rng.choice(4 * 300, size=900, replace=False)
+    users = np.concatenate((np.zeros(top, np.int64), 1 + cells // 300))
+    services = np.concatenate((np.arange(top), top + cells % 300))
+    order = rng.permutation(len(users))
+    return users[order], services[order], 5, top + 300
+
+
+@pytest.mark.parametrize("top, key_dtype", [(70_000, np.int64), (65_535, np.uint16)])
+def test_level_schedule_is_the_stable_sort_of_the_levels(monkeypatch, top, key_dtype):
+    # the levels are sorted on uint16 up to a top level of 2^16 - 1 and on
+    # int64 above; either way the permutation is the int64 stable sort's
+    if top == 70_000:  # one user, one service per observation: levels 1...70,000
+        u_seq, s_seq, num_users, num_services = np.zeros(top, np.int16), np.arange(top), 1, top
+    else:
+        u_seq, s_seq, num_users, num_services = top_level_case(top)
+    levels = levels_by_definition(u_seq, s_seq)
+    assert levels.max() == top
+    keys = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        keys.append(a.dtype)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    by_level, sizes = _level_schedule(u_seq, s_seq, num_users, num_services)
+    monkeypatch.undo()
+    assert keys == [key_dtype]
+    np.testing.assert_array_equal(by_level, np.argsort(levels, kind="stable"))
+    np.testing.assert_array_equal(sizes, np.bincount(levels)[1:])
+    assert len(sizes) == top
+
+
+def test_sgdm_epoch_peaks_at_most_58_bytes_per_observation():
+    # one epoch on a train part of the WS-DREAM shape (339 x 5,825, 10% of
+    # a 90% dense matrix: 177,720 observations, int16 ids, f = 20), its
+    # shuffled order included. It peaks at 56.4 bytes per observation,
+    # while the index run is built; the level pass holds the level list,
+    # but no list of the ids. With both ids' lists it peaked at 96.8.
+    data, _ = synth_lowrank(339, 5825, 2, 0.9, 0.0, seed=0)
+    t = split(data, 0.1, 0.45, seed=0).train.base
+    del data
+    x = init_factors(t.num_users, t.num_services, Hyperparams(f=20))
+    velocity = np.zeros_like(x.table)
+
+    def epoch():
+        order = np.random.default_rng(1).permutation(len(t))
+        _sgdm_epoch(t.users, t.services, t.values, order, x.table, velocity,
+                    t.num_users, 0.001, 0.9, 1e-3)
+
+    _, peak = traced_peak(epoch)
+    assert peak <= 58 * len(t), peak / len(t)
 
 
 # ------------------------------------------------------------- early stopping
