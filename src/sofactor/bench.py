@@ -6,7 +6,7 @@ import csv
 import io
 from dataclasses import dataclass, fields, replace
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .data import TripleSet, check_fractions, split
 from .model import Hyperparams, rmse
@@ -182,7 +182,7 @@ def run_benchmark(data: TripleSet,
                   configs: Sequence[tuple[str, float, float]],
                   seeds: Sequence[int],
                   models: Sequence[OptimizerKind],
-                  h: Union[Hyperparams, Mapping[str, Hyperparams]] = Hyperparams(),
+                  h: Hyperparams = Hyperparams(),
                   log=None) -> BenchTable:
     """Train every (config, model, seed) combination and aggregate.
 
@@ -190,11 +190,10 @@ def run_benchmark(data: TripleSet,
     to the in-memory TripleSet data with each seed; the same seed drives
     both the split and the factor init of its runs. Each (config, seed)
     is split once, and every model trains on that split, so ``log``
-    gets its lines seed by seed, each seed's models in row order. h may
-    be a single Hyperparams shared by all models or a mapping from model
-    name to per-model settings. Row order is configs as given, models in
-    fixed presentation order (SGDM, SLF, DRSLF), independent of the
-    order requested.
+    gets its lines seed by seed, each seed's models in row order. Every
+    model trains with h, its seed replaced by the run's. Row order is
+    configs as given, models in fixed presentation order (SGDM, SLF,
+    DRSLF), independent of the order requested.
     """
     if len(models) == 0:
         raise ValueError("no models requested")
@@ -214,16 +213,6 @@ def run_benchmark(data: TripleSet,
             raise ValueError(f"dataset config {label!r}: {exc}") from None
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seed in request")
-    if not isinstance(h, Hyperparams):
-        for name in names:
-            if name not in h:
-                raise ValueError(f"no hyperparameters given for model {name}")
-
-    def h_for(name: str) -> Hyperparams:
-        if isinstance(h, Hyperparams):
-            return h
-        return h[name]
-
     ordered = sorted(models, key=lambda m: _MODEL_ORDER[m.name])
     rows = []
     for label, train_frac, val_frac in configs:
@@ -233,7 +222,7 @@ def run_benchmark(data: TripleSet,
             # model trains on one, and one is held at a time
             sp = split(data, train_frac, val_frac, seed)
             for kind in ordered:
-                _, report = train(sp, replace(h_for(kind.name), seed=seed), kind)
+                _, report = train(sp, replace(h, seed=seed), kind)
                 runs[kind.name].append((report.final_test_rmse, report.best_epoch))
                 if log is not None:
                     print(f"{label} {kind.name} seed={seed} "

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .data import check_integer
 from .sddmm import dot
 
 # entries per block of the iterate and residual updates: each update's
@@ -60,11 +61,12 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
 
     apply_a must be (numerically) symmetric positive definite; an
     IndefiniteOperatorError signals insufficient damping and is the
-    caller's problem to fix, never patched over here. tau > 0 and
-    max_iters >= 1 are required.
+    caller's problem to fix, never patched over here. tau > 0 and an
+    integer max_iters >= 1 are required.
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
+    check_integer("max_iters", max_iters)
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     g = np.asarray(g, dtype=np.float64)

@@ -66,6 +66,8 @@ class TripleSet:
     duplicate check and of ``build_index``, formed in int64, are exact.
     The ids are range-checked as the caller gave them, read as int64,
     before they are narrowed: a narrowing cast would wrap silently.
+    Unsigned ids are checked against their dimension before that read,
+    which would wrap an id at or above 2^63 to a negative one.
 
     Two callers inside this module build sets whose contents already
     hold these invariants through ``_trusted``, which keeps the dtype
@@ -85,15 +87,17 @@ class TripleSet:
         # checked before any cast: int() truncates 2.5, and a float or
         # bool id array would be truncated or read as 0 and 1
         for name in ("num_users", "num_services"):
-            dim = getattr(self, name)
-            if isinstance(dim, (bool, np.bool_)) or not isinstance(dim, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {dim!r}")
-        for name in ("users", "services"):
+            check_integer(name, getattr(self, name))
+        nu, ns = int(self.num_users), int(self.num_services)
+        for name, dim in (("users", nu), ("services", ns)):
             ids = np.asarray(getattr(self, name))
             if ids.size and ids.dtype.kind not in "iu":
                 raise ValueError(f"{name} must hold integer ids, got dtype {ids.dtype}")
+            # the int64 cast below would wrap an unsigned id at or above
+            # 2^63; a negative dimension is named by _normalise
+            if ids.size and ids.dtype.kind == "u" and 0 <= dim <= ids.max():
+                raise ValueError(f"{name[:-1]} id {ids.max()} out of range (num_{name}={dim})")
         self._normalise(np.int64)
-        nu, ns = int(self.num_users), int(self.num_services)
         if len(self) > 0:
             if self.users.min() < 0 or self.services.min() < 0:
                 raise ValueError("negative id")
@@ -133,6 +137,12 @@ class TripleSet:
 
     def __len__(self) -> int:
         return len(self.users)
+
+
+def check_integer(name: str, value) -> None:
+    "Reject a value that is not an int or a numpy integer, a bool included, naming it."
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _id_dtype(num_users: int, num_services: int):

@@ -22,17 +22,21 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import IndexedDataset, TripleSet
+from .data import IndexedDataset, TripleSet, UserMajorOrder, check_integer
 from .sddmm import dot, sampled_dots
 
 FORMAT_VERSION = 1
 
 
-def check_finite_fields(obj) -> None:
-    "Reject a NaN or infinite value in any float field of the dataclass obj."
+def check_fields(obj) -> None:
+    """Reject a NaN or infinite value in any float field of the dataclass
+    obj, and anything but an integer (``check_integer``) in any int field."""
     for fd in fields(obj):
-        if isinstance(fd.default, float) and not math.isfinite(getattr(obj, fd.name)):
-            raise ValueError(f"{fd.name} must be finite, got {getattr(obj, fd.name)}")
+        value = getattr(obj, fd.name)
+        if isinstance(fd.default, float) and not math.isfinite(value):
+            raise ValueError(f"{fd.name} must be finite, got {value}")
+        if type(fd.default) is int:
+            check_integer(fd.name, value)
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,8 @@ class Hyperparams:
     Defaults follow the reference configuration used in the benchmark
     harness: rank 20, a moderate grid midpoint for the two penalty
     weights and damping, inner tolerance 10 with at most 10 inner
-    iterations, and uniform [0, 0.04) initialization.
+    iterations, and uniform [0, 0.04) initialization. The int fields
+    take an int or a numpy integer only: a float or a bool is refused.
     """
 
     f: int = 20
@@ -59,7 +64,7 @@ class Hyperparams:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite_fields(self)
+        check_fields(self)
         if self.f < 1:
             raise ValueError("f must be >= 1")
         if self.lambda_r1 < 0 or self.lambda_r2 < 0:
@@ -163,13 +168,14 @@ def init_factors(num_users: int, num_services: int, h: Hyperparams) -> FactorSta
         service_factors=rng.uniform(h.init_lo, h.init_hi, size=(num_services, h.f)))
 
 
-def predict_observed(x: FactorState, t: TripleSet) -> np.ndarray:
-    "Predictions for every observation of t, in observation order."
+def predict_observed(x: FactorState, t: TripleSet | UserMajorOrder) -> np.ndarray:
+    """Predictions for every observation of t, in t's order: stored order
+    for a TripleSet, user-major order for a UserMajorOrder."""
     return sampled_dots(t.users, t.services, ((x.user_factors, x.service_factors),))
 
 
-def residuals(x: FactorState, t: TripleSet) -> np.ndarray:
-    "q - yhat per observation, subtracted in place into the predictions."
+def residuals(x: FactorState, t: TripleSet | UserMajorOrder) -> np.ndarray:
+    "q - yhat per observation of t, in t's order, subtracted in place into the predictions."
     r = predict_observed(x, t)
     return np.subtract(t.values, r, out=r)
 
@@ -224,15 +230,11 @@ def data_gradient(x: FactorState, d: IndexedDataset) -> np.ndarray:
     """Gradient of the half-SSE term: J^T (-(q - yhat)), with the
     residuals computed in d's user-major order, the order J^T w takes.
 
-    The negated residuals are formed in the prediction buffer as
-    q - yhat, then negated: yhat - q would give +0.0 where this gives
-    -0.0.
+    The residuals are formed as q - yhat, then negated in place: yhat - q
+    would give +0.0 where this gives -0.0.
     """
-    um = d.user_major
-    neg_r = sampled_dots(um.users, um.services, ((x.user_factors, x.service_factors),))
-    np.subtract(um.values, neg_r, out=neg_r)
-    np.negative(neg_r, out=neg_r)
-    return jacobian_transpose_vector(x, d, neg_r)
+    neg_r = residuals(x, d.user_major)
+    return jacobian_transpose_vector(x, d, np.negative(neg_r, out=neg_r))
 
 
 def l1_gradient(x: FactorState, d: IndexedDataset, h: Hyperparams) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from .cg import cg_solve
 from .curvature import CurvatureContext
 from .data import IndexedDataset, SplitDataset
-from .model import FactorState, Hyperparams, check_finite_fields, gradient, init_factors, rmse
+from .model import FactorState, Hyperparams, check_fields, gradient, init_factors, rmse
 
 VALID_OPTIMIZERS = ("DRSLF", "SLF", "SGDM")
 
@@ -49,7 +49,7 @@ class OptimizerKind:
     def __post_init__(self):
         if self.name not in VALID_OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.name!r}, expected one of {VALID_OPTIMIZERS}")
-        check_finite_fields(self)
+        check_fields(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:

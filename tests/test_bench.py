@@ -227,16 +227,6 @@ def test_run_benchmark_aggregates_per_seed_runs():
     assert len(set(row.seed_rmses)) > 1
 
 
-def test_run_benchmark_accepts_per_model_hyperparams():
-    t, _ = tiny_problem()
-    table = run_benchmark(
-        t, [("tiny", 0.6, 0.2)], [0],
-        [OptimizerKind.slf(), OptimizerKind.drslf()],
-        {"SLF": fast_h(max_epochs=1, gamma=5.0),
-         "DRSLF": fast_h(max_epochs=1, gamma=0.5)})
-    assert {r.model for r in table.rows} == {"SLF", "DRSLF"}
-
-
 def test_run_benchmark_validates_request(monkeypatch):
     def no_training(*args, **kwargs):
         raise AssertionError("trained before the request was checked")
@@ -264,10 +254,6 @@ def test_run_benchmark_validates_request(monkeypatch):
     with pytest.raises(ValueError, match=r"^dataset config 'bad': .*lie in \(0, 1\)"):
         run_benchmark(t, [("a", 0.6, 0.2), ("bad", 0.0, 0.5)], [0],
                       [OptimizerKind.slf()], fast_h())
-    # the mapping lacks DRSLF, which runs after SGDM in presentation order
-    with pytest.raises(ValueError, match="no hyperparameters given for model DRSLF"):
-        run_benchmark(t, [("a", 0.6, 0.2)], [0, 1],
-                      [OptimizerKind.drslf(), OptimizerKind.sgdm()], {"SGDM": fast_h()})
 
 
 def test_bench_table_csv_layout():

@@ -251,6 +251,10 @@ def test_parameter_validation():
         cg_solve(lambda p: p, np.ones(2), tau=0.0, max_iters=5)
     with pytest.raises(ValueError, match="max_iters"):
         cg_solve(lambda p: p, np.ones(2), tau=1.0, max_iters=0)
+    # a float cap is never equal to the iteration count, so it never stops a solve
+    for max_iters in (2.5, 1.0, True):
+        with pytest.raises(ValueError, match="^max_iters must be an integer, got "):
+            cg_solve(lambda p: p, np.ones(2), tau=1.0, max_iters=max_iters)
 
 
 def test_result_is_frozen():

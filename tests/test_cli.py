@@ -414,6 +414,14 @@ def test_removed_flags_are_usage_errors(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", [",", " , ", ""])
+def test_empty_value_list_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--data", "d.txt", "--seeds", value])
+    assert exc.value.code == 2
+    assert "empty value list" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, prefix, flag", [
     (["ingest", "--inp", "m.txt", "--out", "t.txt"], "--inp", "--input"),
     (["synth", "--num-u", "3", "--num-services", "4", "--out", "t.txt"],

@@ -51,6 +51,15 @@ def test_tripleset_validates_ranges():
         TripleSet(2, 2, np.array([0, 1]), np.array([0, 5]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="non-finite"):
         TripleSet(1, 1, np.array([0]), np.array([0]), np.array([np.inf]))
+    with pytest.raises(ValueError, match="^users/services/values length mismatch$"):
+        TripleSet(3, 3, [0, 1], [0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^users/services/values length mismatch$"):
+        TripleSet(3, 3, [0], [0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^negative dimensions$"):
+        TripleSet(-1, 3, [], [], [])
+    # an unsigned id is not called out of range against a negative dimension
+    with pytest.raises(ValueError, match="^negative dimensions$"):
+        TripleSet(3, -1, [0], np.array([5], np.uint8), [1.0])
 
 
 def test_tripleset_rejects_duplicate_pair():
@@ -116,9 +125,15 @@ def test_tripleset_accepts_grouping_keys_just_inside_int64():
 @pytest.mark.parametrize("users, msg", [
     ([-2**40, 1], "negative id"),
     ([2**32 + 1, 0], r"user id 4294967297 out of range \(num_users=6\)"),
+    (np.array([2**63, 1], np.uint64),
+     r"^user id 9223372036854775808 out of range \(num_users=6\)$"),
+    (np.array([0, 2**64 - 1], np.uint64),
+     r"^user id 18446744073709551615 out of range \(num_users=6\)$"),
+    (np.array([6, 1], np.uint8), r"^user id 6 out of range \(num_users=6\)$"),
 ])
 def test_tripleset_checks_ids_before_narrowing_them(users, msg):
-    # -2**40 and 2**32 + 1 both read as a valid id once cast to int32
+    # -2**40 and 2**32 + 1 both read as a valid id once cast to int32,
+    # and an unsigned id at or above 2**63 as a negative one in int64
     with pytest.raises(ValueError, match=msg):
         TripleSet(6, 2, np.array(users), np.array([0, 1]), np.ones(2))
 
@@ -1162,3 +1177,5 @@ def test_synth_lowrank_validates_args():
         synth_lowrank(5, 5, 2, 1.5, 0.0, seed=0)
     with pytest.raises(ValueError):
         synth_lowrank(5, 5, 2, 0.5, -0.1, seed=0)
+    with pytest.raises(ValueError, match="init_lo must be < init_hi"):
+        synth_lowrank(5, 5, 2, 0.5, 0.0, seed=0, init_lo=0.3, init_hi=0.3)

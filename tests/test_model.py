@@ -85,6 +85,21 @@ def test_hyperparams_rejects_non_finite_floats(name, value):
         Hyperparams(**{name: value})
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(2.0), True, np.bool_(True), "3"])
+@pytest.mark.parametrize("name", ["f", "cg_max_iters", "max_epochs", "patience", "seed"])
+def test_hyperparams_rejects_integer_fields_that_are_not_integers(name, value):
+    # a float cg_max_iters never equals the iteration count, so the cap
+    # would never apply; a float f, max_epochs or seed fails inside train
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        Hyperparams(**{name: value})
+
+
+def test_hyperparams_takes_numpy_integers():
+    h = Hyperparams(f=np.int32(3), cg_max_iters=np.int64(2), max_epochs=np.uint8(1),
+                    patience=np.int16(4), seed=np.int64(7))
+    assert (h.f, h.cg_max_iters, h.max_epochs, h.patience, h.seed) == (3, 2, 1, 4, 7)
+
+
 def test_hyperparams_defaults_are_valid():
     h = Hyperparams()
     assert h.f == 20 and h.tau == 10.0 and h.cg_max_iters == 10
@@ -148,6 +163,8 @@ def test_factor_state_as_table():
 def test_factor_state_rejects_bad_shapes_and_nan():
     with pytest.raises(ValueError):
         FactorState(f=2, user_factors=np.zeros((3, 3)), service_factors=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="factor matrices must be 2-d"):
+        FactorState(f=2, user_factors=np.zeros(2), service_factors=np.zeros((2, 2)))
     with pytest.raises(ValueError):
         FactorState(f=1, user_factors=np.array([[np.nan]]), service_factors=np.zeros((1, 1)))
 

@@ -3,6 +3,7 @@ at any worker count, and the inner product against an exact sum."""
 
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -46,6 +47,15 @@ def test_out_of_range_id_raises():
 
 
 # ------------------------------------------------------------ worker threads
+
+def test_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without an affinity mask
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sddmm._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert sddmm._cpus() == 1
+
 
 # the least n that a pooled pass splits in two
 SPLIT_N = 2 * sddmm.MIN_SPAN

@@ -497,6 +497,19 @@ def test_sgdm_divergence_emits_no_float_warning():
             train(sp, so_params(max_epochs=5), OptimizerKind.sgdm(learning_rate=1e6))
 
 
+def test_overflowing_residual_sum_is_a_named_failure():
+    # values near 1e200 and tau far above |g|_inf: the solve returns
+    # delta = 0, the factors stay finite, and the squared residuals overflow
+    t, _ = synth_lowrank(30, 40, 2, 0.5, 0.01, 0)
+    big = TripleSet(t.num_users, t.num_services, t.users, t.services, t.values * 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError,
+                           match=r"^epoch 1: non-finite RMSE \(train=inf, val=inf\)$"):
+            train(split(big, 0.6, 0.2, 0), so_params(tau=1e300, max_epochs=2),
+                  OptimizerKind.slf())
+
+
 def test_cg_failure_carries_epoch_index(monkeypatch):
     def boom(*a, **kw):
         raise IndefiniteOperatorError("<p, A p> = -1.0 at iteration 1")
