@@ -21,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import check_integer
-from .sddmm import dot
+from .sddmm import check_integer, dot
 
 # entries per block of the iterate and residual updates: each update's
 # temporaries are a block long, 512 kB, not a parameter vector

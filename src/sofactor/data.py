@@ -30,7 +30,7 @@ from itertools import islice
 import numpy as np
 import scipy.sparse as sp
 
-from .sddmm import BLOCK_ROWS, run_spans, sampled_dots, span_bounds
+from .sddmm import BLOCK_ROWS, check_integer, run_spans, sampled_dots, span_bounds
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Set-up runs on the calling thread, and its passes go a block at a time,
@@ -66,8 +66,8 @@ class TripleSet:
     duplicate check and of ``build_index``, formed in int64, are exact.
     The ids are range-checked as the caller gave them, read as int64,
     before they are narrowed: a narrowing cast would wrap silently.
-    Unsigned ids are checked against their dimension before that read,
-    which would wrap an id at or above 2^63 to a negative one.
+    A uint64 id above 2^63 - 1 is named out of range before that read,
+    which would wrap it to a negative one.
 
     Two callers inside this module build sets whose contents already
     hold these invariants through ``_trusted``, which keeps the dtype
@@ -89,22 +89,21 @@ class TripleSet:
         for name in ("num_users", "num_services"):
             check_integer(name, getattr(self, name))
         nu, ns = int(self.num_users), int(self.num_services)
-        for name, dim in (("users", nu), ("services", ns)):
+        dims = (("users", nu), ("services", ns))
+        for name, dim in dims:
             ids = np.asarray(getattr(self, name))
             if ids.size and ids.dtype.kind not in "iu":
                 raise ValueError(f"{name} must hold integer ids, got dtype {ids.dtype}")
-            # the int64 cast below would wrap an unsigned id at or above
-            # 2^63; a negative dimension is named by _normalise
-            if ids.size and ids.dtype.kind == "u" and 0 <= dim <= ids.max():
-                raise ValueError(f"{name[:-1]} id {ids.max()} out of range (num_{name}={dim})")
+            # the int64 cast below would wrap such an id to a negative one;
+            # no dimension of a valid set reaches it
+            if ids.size and ids.dtype == np.uint64 and ids.max() > _INT64_MAX:
+                _check_below(name, ids, dim)
         self._normalise(np.int64)
         if len(self) > 0:
             if self.users.min() < 0 or self.services.min() < 0:
                 raise ValueError("negative id")
-            if self.users.max() >= nu:
-                raise ValueError(f"user id {self.users.max()} out of range (num_users={nu})")
-            if self.services.max() >= ns:
-                raise ValueError(f"service id {self.services.max()} out of range (num_services={ns})")
+            for name, dim in dims:
+                _check_below(name, getattr(self, name), dim)
         self._normalise(_id_dtype(nu, ns))  # the ids are in range: narrowing keeps them
         if len(self) > 0:
             if not np.isfinite(self.values).all():
@@ -139,10 +138,11 @@ class TripleSet:
         return len(self.users)
 
 
-def check_integer(name: str, value) -> None:
-    "Reject a value that is not an int or a numpy integer, a bool included, naming it."
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_below(name: str, ids: np.ndarray, dim: int) -> None:
+    "Name the largest of the non-empty ids if it is not below dim."
+    top = ids.max()
+    if top >= dim:
+        raise ValueError(f"{name[:-1]} id {top} out of range (num_{name}={dim})")
 
 
 def _id_dtype(num_users: int, num_services: int):

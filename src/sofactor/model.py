@@ -22,8 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import IndexedDataset, TripleSet, UserMajorOrder, check_integer
-from .sddmm import dot, sampled_dots
+from .data import IndexedDataset, TripleSet, UserMajorOrder
+from .sddmm import check_integer, dot, sampled_dots
 
 FORMAT_VERSION = 1
 

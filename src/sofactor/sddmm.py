@@ -20,7 +20,9 @@ count. Set-up, which runs once, runs on the calling thread.
 
 ``dot`` is the library's one inner product: CG's inner products and
 the residual sums of RMSE and the loss go through it, so one function
-fixes their summation order.
+fixes their summation order. ``check_integer``, the library's one check
+of an integer argument, sits here because every module that takes a
+count imports this one.
 """
 
 from __future__ import annotations
@@ -104,6 +106,12 @@ def run_spans(fn, bounds) -> None:
         wait(futures)
     for future in futures:
         future.result()
+
+
+def check_integer(name: str, value) -> None:
+    "Reject a value that is not an int or a numpy integer, a bool included, naming it."
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:
