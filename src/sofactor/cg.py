@@ -73,60 +73,56 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
         raise NonFiniteOperatorError("right-hand side contains non-finite values")
 
     r = -g
-    r_inf = float(np.abs(r).max()) if len(r) else 0.0
-    if r_inf <= tau:
-        return CgResult(delta=np.zeros_like(r), iterations=0,
-                        final_residual_inf=r_inf, converged=True)
-
-    delta = np.zeros_like(r)
+    best_inf = r_inf = float(np.abs(r).max()) if len(r) else 0.0
     best_delta = None  # set once an iterate improves on delta = 0
-    best_inf = r_inf
-    p = r.copy()
-    rs = dot(r, r)
     iterations = 0
-    while True:
-        ap = apply_a(p)
-        if not np.isfinite(ap).all():
-            raise NonFiniteOperatorError(
-                f"operator product non-finite at iteration {iterations + 1}")
-        pap = dot(p, ap)
-        if pap <= 0:
-            raise IndefiniteOperatorError(
-                f"<p, A p> = {pap!r} at iteration {iterations + 1}")
-        alpha = rs / pap
-        iterations += 1
-        # delta += alpha * p, r -= alpha * A p and max |r|, a block at a time
-        r_inf = 0.0
-        for lo in range(0, len(r), UPDATE_BLOCK):
-            b = slice(lo, lo + UPDATE_BLOCK)
-            delta[b] += alpha * p[b]
-            r[b] -= alpha * ap[b]
-            block_inf = float(np.abs(r[b]).max())
-            if not math.isfinite(block_inf):
+    if r_inf > tau:
+        delta = np.zeros_like(r)
+        p = r.copy()
+        rs = dot(r, r)
+        while True:
+            ap = apply_a(p)
+            if not np.isfinite(ap).all():
                 raise NonFiniteOperatorError(
-                    f"residual non-finite at iteration {iterations}")
-            r_inf = max(r_inf, block_inf)
-        last = r_inf <= tau or iterations == max_iters
-        if r_inf < best_inf:
-            best_inf = r_inf
-            if last:  # no later iteration moves the last iterate: it needs no copy
-                best_delta = delta
-            elif best_delta is None:
-                best_delta = delta.copy()
-            else:  # into the one copy, so that no two are ever held
-                np.copyto(best_delta, delta)
-        if last:
-            break
-        # r + beta * p, formed in p: the same product, and a sum that commutes
-        rs_next = dot(r, r)
-        p *= rs_next / rs
-        p += r
-        rs = rs_next
-        del ap  # freed before the next product is made
-
+                    f"operator product non-finite at iteration {iterations + 1}")
+            pap = dot(p, ap)
+            if pap <= 0:
+                raise IndefiniteOperatorError(
+                    f"<p, A p> = {pap!r} at iteration {iterations + 1}")
+            alpha = rs / pap
+            iterations += 1
+            # delta += alpha * p, r -= alpha * A p and max |r|, a block at a time
+            r_inf = 0.0
+            for lo in range(0, len(r), UPDATE_BLOCK):
+                b = slice(lo, lo + UPDATE_BLOCK)
+                delta[b] += alpha * p[b]
+                r[b] -= alpha * ap[b]
+                block_inf = float(np.abs(r[b]).max())
+                if not math.isfinite(block_inf):
+                    raise NonFiniteOperatorError(
+                        f"residual non-finite at iteration {iterations}")
+                r_inf = max(r_inf, block_inf)
+            last = r_inf <= tau or iterations == max_iters
+            if r_inf < best_inf:
+                best_inf = r_inf
+                if last:  # no later iteration moves the last iterate: it needs no copy
+                    best_delta = delta
+                elif best_delta is None:
+                    best_delta = delta.copy()
+                else:  # into the one copy, so that no two are ever held
+                    np.copyto(best_delta, delta)
+            if last:
+                break
+            # r + beta * p, formed in p: the same product, and a sum that commutes
+            rs_next = dot(r, r)
+            p *= rs_next / rs
+            p += r
+            rs = rs_next
+            del ap  # freed before the next product is made
+        del p, ap, delta
+    del r
     if best_delta is None:
-        # no iterate improved: the zeros are made once the vectors are freed
-        del r, p, ap, delta
+        # none ran or none improved: the zeros are made once the vectors are freed
         best_delta = np.zeros_like(g)
     return CgResult(delta=best_delta, iterations=iterations,
                     final_residual_inf=best_inf, converged=best_inf <= tau)

@@ -42,12 +42,9 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 SETUP_BLOCK = 16_384
 _TRIPLE = np.dtype([("u", "i8"), ("s", "i8"), ("v", "f8")])
 _ID = re.compile(r"[+-]?[0-9]+")
+_ESCAPED = re.compile("[\udc80-\udcff]")  # the surrogateescape error handler's range
 
 
-# The array-holding types here (and FactorState, CgResult) are declared
-# eq=False: the generated __eq__ would compare ndarray fields and raise,
-# so equality is identity.
-@dataclass(frozen=True, eq=False)
 class TripleSet:
     """The known set of a user-by-service matrix, stored as parallel arrays.
 
@@ -57,54 +54,45 @@ class TripleSet:
     32,767, as on the WS-DREAM shape, int32 up to 2^31 - 1, else int64)
     and float64 values, 12 bytes per observation with int16 ids and 16
     with int32 ones. Every sum or product of ids is formed in int64 or
-    in Python ints, never in the ids' own dtype. Invariants checked on
-    construction: integer dimensions and, unless there are no
-    observations, an integer id dtype (a float or bool id is rejected,
-    not truncated), ids in range, values finite, no duplicate (user,
-    service) pair, and ``max(num_users * num_services, max(num_users,
-    num_services) * len)`` within int64, so that the sort keys of the
-    duplicate check and of ``build_index``, formed in int64, are exact.
-    The ids are range-checked as the caller gave them, read as int64,
-    before they are narrowed: a narrowing cast would wrap silently.
-    A uint64 id above 2^63 - 1 is named out of range before that read,
-    which would wrap it to a negative one.
+    in Python ints, never in the ids' own dtype. Equality is identity.
 
-    Two callers inside this module build sets whose contents already
-    hold these invariants through ``_trusted``, which keeps the dtype
-    normalisation and the O(1) checks but skips the scans and the sort:
-    ``split``, whose parts are disjoint slices of a valid set, and
-    ``load_dense_matrix``, whose cells are distinct and in range by
-    construction and whose values it checks itself.
+    Invariants checked on construction: integer dimensions, equal lengths,
+    dimensions >= 0 and ``max(num_users * num_services, max(num_users,
+    num_services) * len)`` within int64, so that the sort keys of the
+    duplicate check and of ``build_index``, formed in int64, are exact;
+    then, unless there are no observations, ids of an integer dtype and in
+    range, values of an integer or float dtype and finite, and no repeated
+    (user, service) pair. A float or bool dimension or id, and a bool,
+    string or complex value, is rejected, not converted. Each array is
+    checked once, in the dtype it arrives in; the set keeps a copy of it.
+
+    ``_trusted`` builds the sets of two callers in this module whose
+    contents already hold these invariants, ``split`` (disjoint slices of
+    a valid set) and ``load_dense_matrix`` (distinct cells in range, values
+    it checks itself): it casts them, without the scans and the sort.
     """
 
-    num_users: int
-    num_services: int
-    users: np.ndarray
-    services: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        # checked before any cast: int() truncates 2.5, and a float or
-        # bool id array would be truncated or read as 0 and 1
-        for name in ("num_users", "num_services"):
-            check_integer(name, getattr(self, name))
-        nu, ns = int(self.num_users), int(self.num_services)
-        dims = (("users", nu), ("services", ns))
-        for name, dim in dims:
-            ids = np.asarray(getattr(self, name))
-            if ids.size and ids.dtype.kind not in "iu":
-                raise ValueError(f"{name} must hold integer ids, got dtype {ids.dtype}")
-            # the int64 cast below would wrap such an id to a negative one;
-            # no dimension of a valid set reaches it
-            if ids.size and ids.dtype == np.uint64 and ids.max() > _INT64_MAX:
-                _check_below(name, ids, dim)
-        self._normalise(np.int64)
+    def __init__(self, num_users, num_services, users, services, values):
+        # checked before any cast: int() truncates 2.5
+        check_integer("num_users", num_users)
+        check_integer("num_services", num_services)
+        self.num_users = nu = int(num_users)
+        self.num_services = ns = int(num_services)
+        # ids are checked contiguous in the caller's dtype (faster than
+        # strided) and replaced as they are cast, so no uncast copy outlives
+        # its cast; each array kept is a copy, never the caller's
+        self.users, self.services = map(np.ascontiguousarray, (users, services))
+        self.values = np.array(values, ndmin=1)
+        _check_sizes(nu, ns, len(self.users), len(self.services), len(self.values))
         if len(self) > 0:
-            if self.users.min() < 0 or self.services.min() < 0:
-                raise ValueError("negative id")
-            for name, dim in dims:
-                _check_below(name, getattr(self, name), dim)
-        self._normalise(_id_dtype(nu, ns))  # the ids are in range: narrowing keeps them
+            _check_ids("users", self.users, nu)
+            _check_ids("services", self.services, ns)
+            if self.values.dtype.kind not in "iuf":
+                raise ValueError(f"values must be integer or float, got dtype {self.values.dtype}")
+        id_dtype = _id_dtype(nu, ns)
+        self.users = np.array(self.users, dtype=id_dtype)
+        self.services = np.array(self.services, dtype=id_dtype)
+        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if len(self) > 0:
             if not np.isfinite(self.values).all():
                 raise ValueError("non-finite observation value")
@@ -118,31 +106,32 @@ class TripleSet:
                 u, s = divmod(int(keys[np.argmax(dup)]), ns)
                 raise ValueError(f"duplicate (user, service) pair ({u}, {s})")
 
-    def _normalise(self, id_dtype):
-        "Contiguous id_dtype ids and float64 values, and the checks that take O(1)."
-        object.__setattr__(self, "users", np.ascontiguousarray(self.users, dtype=id_dtype))
-        object.__setattr__(self, "services", np.ascontiguousarray(self.services, dtype=id_dtype))
-        object.__setattr__(self, "values", np.ascontiguousarray(self.values, dtype=np.float64))
-        if not (len(self.users) == len(self.services) == len(self.values)):
-            raise ValueError("users/services/values length mismatch")
-        nu, ns, n = int(self.num_users), int(self.num_services), len(self.users)
-        if nu < 0 or ns < 0:
-            raise ValueError("negative dimensions")
-        # users * ns + services is below nu * ns, and _grouped's
-        # ids * n + position below max(nu, ns) * n
-        if max(nu * ns, max(nu, ns) * n) > _INT64_MAX:
-            raise ValueError(
-                f"{nu} x {ns} matrix with {n} observations is too large for int64 sort keys")
-
     def __len__(self) -> int:
         return len(self.users)
 
 
-def _check_below(name: str, ids: np.ndarray, dim: int) -> None:
-    "Name the largest of the non-empty ids if it is not below dim."
+def _check_ids(name: str, ids: np.ndarray, dim: int) -> None:
+    "Reject non-empty ids, in their own dtype, that are not integers in range(dim)."
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer ids, got dtype {ids.dtype}")
+    if ids.dtype.kind == "i" and ids.min() < 0:
+        raise ValueError("negative id")
     top = ids.max()
     if top >= dim:
         raise ValueError(f"{name[:-1]} id {top} out of range (num_{name}={dim})")
+
+
+def _check_sizes(nu: int, ns: int, *lengths: int) -> None:
+    "The checks on a set's sizes, which take O(1): equal lengths, dimensions >= 0, int64 keys."
+    if len(set(lengths)) > 1:
+        raise ValueError("users/services/values length mismatch")
+    if nu < 0 or ns < 0:
+        raise ValueError("negative dimensions")
+    # users * ns + services is below nu * ns, and _grouped's
+    # ids * n + position below max(nu, ns) * n
+    if max(nu * ns, max(nu, ns) * lengths[0]) > _INT64_MAX:
+        raise ValueError(
+            f"{nu} x {ns} matrix with {lengths[0]} observations is too large for int64 sort keys")
 
 
 def _id_dtype(num_users: int, num_services: int):
@@ -155,17 +144,24 @@ def _id_dtype(num_users: int, num_services: int):
     return np.int64
 
 
-def _trusted(num_users, num_services, users, services, values) -> TripleSet:
-    """A TripleSet whose ids the caller knows to be in range and pairwise
-    distinct, and whose values it knows to be finite: built without the
-    scans and the duplicate sort of the public constructor."""
-    t = object.__new__(TripleSet)
-    t.__dict__.update(num_users=num_users, num_services=num_services,
-                      users=users, services=services, values=values)
-    t._normalise(_id_dtype(int(num_users), int(num_services)))
+def _trusted(num_users: int, num_services: int, users, services, values) -> TripleSet:
+    """A TripleSet of ids the caller knows to be in range and pairwise
+    distinct and of values it knows to be finite, cast as the constructor
+    casts them. Of its checks only the O(1) size checks run: a dense
+    file's shape alone does not bound the sort keys to int64."""
+    t = TripleSet.__new__(TripleSet)
+    t.num_users, t.num_services = num_users, num_services
+    dtype = _id_dtype(num_users, num_services)
+    t.users = np.ascontiguousarray(users, dtype=dtype)
+    t.services = np.ascontiguousarray(services, dtype=dtype)
+    t.values = np.ascontiguousarray(values, dtype=np.float64)
+    _check_sizes(num_users, num_services, len(t.users), len(t.services), len(t.values))
     return t
 
 
+# The array-holding dataclasses here (and CgResult) are declared eq=False:
+# the generated __eq__ would compare ndarray fields and raise, so equality
+# is identity.
 @dataclass(frozen=True, eq=False)
 class RaggedIndex:
     """Observations grouped by one entity (all users or all services).
@@ -431,9 +427,12 @@ def _loadtxt(path, **kwargs) -> np.ndarray:
 def _lines(path, comments: bool):
     """(line number, tokens) for each line of a text file, split on
     whitespace as np.loadtxt splits it; with ``comments``, everything from
-    a ``#`` on is dropped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    a ``#`` on is dropped. A line that is not UTF-8 raises ValueError
+    naming it: each byte that does not decode reads as a lone surrogate."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if _ESCAPED.search(raw):
+                raise ValueError(f"{path}:{line_no}: not UTF-8")
             yield line_no, (raw.split("#", 1)[0] if comments else raw).split()
 
 
@@ -478,8 +477,7 @@ def load_dense_matrix(path) -> TripleSet:
     except ValueError as exc:
         raise _dense_error(path, exc) from None
     if matrix.size == 0:
-        return TripleSet(0, 0, np.empty(0, np.int64), np.empty(0, np.int64),
-                         np.empty(0, np.float64))
+        return TripleSet(0, 0, [], [], [])
     if len(matrix) != _count_lines(path):
         raise _dense_error(path, "np.loadtxt skipped a line") from None
     keep = matrix >= 0

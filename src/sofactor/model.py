@@ -17,6 +17,7 @@ small factor entries toward zero.
 from __future__ import annotations
 
 import math
+import numbers
 import zipfile
 from dataclasses import dataclass, fields
 
@@ -29,12 +30,16 @@ FORMAT_VERSION = 1
 
 
 def check_fields(obj) -> None:
-    """Reject a NaN or infinite value in any float field of the dataclass
-    obj, and anything but an integer (``check_integer``) in any int field."""
+    """Reject anything but a finite real number (an int or a numpy number,
+    not a bool) in any float field of the dataclass obj, and anything but
+    an integer (``check_integer``) in any int field."""
     for fd in fields(obj):
         value = getattr(obj, fd.name)
-        if isinstance(fd.default, float) and not math.isfinite(value):
-            raise ValueError(f"{fd.name} must be finite, got {value}")
+        if isinstance(fd.default, float):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{fd.name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{fd.name} must be finite, got {value}")
         if type(fd.default) is int:
             check_integer(fd.name, value)
 

@@ -353,6 +353,15 @@ def test_bench_non_numeric_fraction_names_its_config(tmp_path, capsys):
         "error: dataset config 'bad': could not convert string to float: 'x'\n")
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "triples"], ["--format", "dense"]])
+def test_a_file_that_is_not_utf8_errors_with_its_path_and_line(tmp_path, capsys, fmt):
+    data = tmp_path / "bad.txt"
+    data.write_bytes(b"0 0 1.0\n1 1 \xff2.0\n")
+    rc = main(["train", "--data", str(data), *FAST, *fmt])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {data}:2: not UTF-8\n"
+
+
 def test_missing_file_errors_cleanly(tmp_path, capsys):
     rc = main(["train", "--data", str(tmp_path / "nope.txt"), *FAST])
     assert rc == 1

@@ -5,6 +5,7 @@ python dictionaries; file formats against hand-written fixtures.
 """
 
 import copy
+import re
 import tracemalloc
 import warnings
 
@@ -161,6 +162,82 @@ def test_tripleset_takes_an_empty_id_array_of_any_dtype():
     assert len(t) == 0 and t.users.dtype == np.int16
     t = TripleSet(np.int64(3), np.uint16(2), np.array([2], np.uint8), [1], [0.5])
     assert (t.users.tolist(), t.services.tolist()) == ([2], [1])
+
+
+@pytest.mark.parametrize("values", [[True], ["1.5"], np.array([1 + 2j]),
+                                    np.array([1.0], dtype=object)])
+def test_tripleset_rejects_values_that_are_not_integers_or_floats(values):
+    # a cast would read True as 1.0 and "1.5" as 1.5, and drop an imaginary part
+    with pytest.raises(ValueError, match="^values must be integer or float, got dtype "):
+        TripleSet(1, 1, [0], [0], values)
+
+
+def test_tripleset_takes_integer_and_float_values_as_float64():
+    for values in ([2], np.array([2], np.uint8), np.array([2.0], np.float32)):
+        t = TripleSet(1, 1, [0], [0], values)
+        assert t.values.dtype == np.float64 and t.values.tolist() == [2.0]
+
+
+def id_cases():
+    "(dtype, id) for every id dtype, and Python lists, with each id that dtype holds."
+    for dtype in (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64,
+                  np.uint64, list):
+        for id_ in (99, 100, -1, 2**63, 2**64 - 1):
+            if dtype is list or np.iinfo(dtype).min <= id_ <= np.iinfo(dtype).max:
+                yield pytest.param(dtype, id_, id=f"{dtype.__name__}-{id_}")
+
+
+@pytest.mark.parametrize("column", ["users", "services"])
+@pytest.mark.parametrize("dtype, id_", id_cases())
+def test_ids_of_every_dtype_are_checked_in_it_and_cast_to_the_id_dtype(dtype, id_, column):
+    # 100 x 100 holds int16 ids: 99 is in range, and 100, -1, 2**63 and
+    # 2**64 - 1 are not
+    ids = [0, id_] if dtype is list else np.array([0, id_], dtype)
+    given = {"users": [0, 1], "services": [0, 1], column: ids}
+    if id_ == 99:
+        t = TripleSet(100, 100, given["users"], given["services"], np.ones(2))
+        assert getattr(t, column).dtype == np.int16 and getattr(t, column).tolist() == [0, 99]
+        return
+    if id_ < 0:
+        msg = "^negative id$"
+    elif np.asarray(ids).dtype.kind == "f":  # numpy reads the list [0, 2**63] as float64
+        msg = rf"^{column} must hold integer ids, got dtype float64$"
+    else:
+        msg = rf"^{column[:-1]} id {id_} out of range \(num_{column}=100\)$"
+    with pytest.raises(ValueError, match=msg):
+        TripleSet(100, 100, given["users"], given["services"], np.ones(2))
+
+
+def test_tripleset_never_shares_the_callers_arrays():
+    # ids given in the id dtype and float64 values are copied too, so a
+    # later write to the caller's array cannot repeat a pair or make a
+    # value non-finite
+    for dim, dtype in ((100, np.int16), (2**31, np.int64)):
+        users, services = np.array([0, 1], dtype), np.array([0, 0], dtype)
+        values = np.ones(2)
+        t = TripleSet(dim, 2, users, services, values)
+        users[1], values[0] = 0, np.nan
+        assert t.users.dtype == dtype and t.users.tolist() == [0, 1]
+        assert t.values.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("shape, id_dtype, nbytes", [((40_000, 300), np.int32, 28),
+                                                     ((1000, 400), np.int16, 26)])
+def test_tripleset_from_loaded_columns_keeps_no_uncast_copy_past_its_cast(
+        shape, id_dtype, nbytes):
+    # the strided int64 columns that load_triples passes: each is copied
+    # contiguous (24 bytes per observation for the three), checked, and an
+    # id column is replaced as it is cast, so the peak is the first cast
+    # beside the three copies; an uncast id copy kept past its cast adds 8
+    # bytes to the duplicate check's peak, above that bound
+    n = 300_000
+    (nu, ns), k = shape, np.arange(n)
+    rec = np.empty(n, dtype=data_mod._TRIPLE)
+    rec["u"], rec["s"], rec["v"] = k % nu, k // nu, 1.0
+    del k
+    t, peak = traced_peak(lambda: TripleSet(nu, ns, rec["u"], rec["s"], rec["v"]))
+    assert t.users.dtype == t.services.dtype == id_dtype and len(t) == n
+    assert peak <= nbytes * n + 65_536, peak / n
 
 
 def test_pair_keys_of_int32_ids_are_formed_in_int64():
@@ -439,6 +516,33 @@ def test_loaders_reject_non_decimal_values(tmp_path, token):
         load_triples(p)
     p.write_text(f"1 2\n3 {token}\n", encoding="utf-8")
     with pytest.raises(ValueError, match=r"t\.txt:2: non-numeric token"):
+        load_dense_matrix(p)
+
+
+@pytest.mark.parametrize("body, load, line", [
+    (b"0 0 1.0\n1 1 \xff2.0\n", load_triples, 2),
+    (b"0 0 1.0\n1 1 \xff2.0\n", load_dense_matrix, 2),
+    (b"0 0 1.0\n1 1 \xff2.0\n", load_dataset, 2),  # sniffed as triples from line 1
+    (b"0.5 1.0\n1.0 \xff2.0\n", load_dense_matrix, 2),
+    (b"0.5 1.0\n1.0 \xff2.0\n", load_dataset, 2),  # sniffed as dense from line 1
+    (b"0 0 1.0 # caf\xe9\n1 1 2.0\n", load_triples, 1),  # in a comment too
+    (b"# \xff\n0 0 1.0\n", sniff_format, 1),
+    (b"\n\xfe 0 1.0\n", sniff_format, 2),
+])
+def test_loaders_and_sniffing_name_the_first_line_that_is_not_utf8(tmp_path, body, load, line):
+    p = tmp_path / "t.txt"
+    p.write_bytes(body)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:{line}: not UTF-8$"):
+        load(p)
+
+
+def test_a_bad_line_before_the_first_that_is_not_utf8_is_named_first(tmp_path):
+    p = tmp_path / "t.txt"
+    p.write_bytes(b"0 x 1.0\n1 1 \xff2.0\n")
+    with pytest.raises(ValueError, match=r"t\.txt:1: malformed record"):
+        load_triples(p)
+    p.write_bytes(b"0.5 1.0\n1.0\n\xff\n")
+    with pytest.raises(ValueError, match=r"t\.txt:2: expected 2 columns, got 1"):
         load_dense_matrix(p)
 
 

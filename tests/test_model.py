@@ -85,6 +85,21 @@ def test_hyperparams_rejects_non_finite_floats(name, value):
         Hyperparams(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "1", None, 1 + 0j])
+@pytest.mark.parametrize("name", ["lambda_r1", "lambda_r2", "epsilon", "gamma", "tau",
+                                  "init_lo", "init_hi"])
+def test_hyperparams_rejects_float_fields_that_are_not_real_numbers(name, value):
+    # True would read as 1.0, and a string or None failed in math.isfinite
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        Hyperparams(**{name: value})
+
+
+def test_hyperparams_takes_ints_and_numpy_numbers_in_float_fields():
+    h = Hyperparams(lambda_r1=0, lambda_r2=np.float32(0.5), epsilon=np.float64(1e-6),
+                    gamma=np.int64(50), tau=1, init_lo=np.float16(0.0), init_hi=np.uint8(1))
+    assert (h.lambda_r1, h.lambda_r2, h.gamma, h.tau, h.init_hi) == (0, 0.5, 50, 1, 1)
+
+
 @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(2.0), True, np.bool_(True), "3"])
 @pytest.mark.parametrize("name", ["f", "cg_max_iters", "max_epochs", "patience", "seed"])
 def test_hyperparams_rejects_integer_fields_that_are_not_integers(name, value):

@@ -63,6 +63,19 @@ def test_optimizer_kind_rejects_non_finite_floats(name, value):
         OptimizerKind.sgdm(**{name: value})
 
 
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.1", None])
+@pytest.mark.parametrize("name", ["learning_rate", "momentum"])
+def test_optimizer_kind_rejects_floats_that_are_not_real_numbers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+        OptimizerKind.sgdm(**{name: value})
+
+
+def test_optimizer_kind_takes_ints_and_numpy_numbers():
+    kind = OptimizerKind.sgdm(learning_rate=np.float32(0.5), momentum=0)
+    assert (kind.learning_rate, kind.momentum) == (0.5, 0)
+    assert OptimizerKind.sgdm(learning_rate=1, momentum=np.float64(0.5)).learning_rate == 1
+
+
 # --------------------------------------------------------------- determinism
 
 @pytest.mark.parametrize("kind", [OptimizerKind.drslf(),
