@@ -6,14 +6,11 @@ import csv
 import io
 from dataclasses import dataclass, fields, replace
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .data import TripleSet, check_fractions, split
 from .model import Hyperparams, rmse
-from .train import OptimizerKind, train
-
-# presentation order: first-order baseline, quadratic-only, full model
-_MODEL_ORDER = {"SGDM": 0, "SLF": 1, "DRSLF": 2}
+from .train import VALID_OPTIMIZERS, OptimizerKind, train
 
 
 @dataclass(frozen=True)
@@ -68,6 +65,7 @@ class GridPointResult:
     val_rmse: float
     best_epoch: int
     status: str  # "ok" or the failure message
+    test_rmse: float = float("nan")  # the best epoch's model's; not a grid CSV column
 
     CSV_HEADER = ",".join(SWEPT_SETTINGS) + ",val_rmse,best_epoch,status"
 
@@ -88,11 +86,24 @@ def _grid_points(grid: GridSpec, kind: OptimizerKind) -> Iterable[GridPoint]:
         for lr, mom, l2 in product(sorted(grid.learning_rate_values),
                                    sorted(grid.momentum_values), l2s):
             yield GridPoint(replace(grid.fixed, lambda_r1=0.0, lambda_r2=l2),
-                            OptimizerKind.sgdm(lr, mom))
+                            OptimizerKind("SGDM", lr, mom))
         return
     l1s = (0.0,) if kind.name == "SLF" else tuple(sorted(grid.lambda_r1_values))
     for l1, l2, gamma in product(l1s, l2s, sorted(grid.gamma_values)):
         yield GridPoint(replace(grid.fixed, lambda_r1=l1, lambda_r2=l2, gamma=gamma), kind)
+
+
+def _run(split_data, point: GridPoint) -> GridPointResult:
+    "Train one point; a RuntimeError (divergence, inner solver breakdown) is its status."
+    try:
+        state, report = train(split_data, point.hyperparams, point.kind)
+    except RuntimeError as exc:
+        return GridPointResult(point, float("nan"), 0, str(exc))
+    # state is the best epoch's model, whose validation RMSE train
+    # measured with the same rmse; with no epochs it is the init
+    val = (report.epochs[report.best_epoch - 1].val_rmse if report.epochs
+           else rmse(state, split_data.validation))
+    return GridPointResult(point, val, report.best_epoch, "ok", report.final_test_rmse)
 
 
 def grid_search(split_data, grid: GridSpec, kind: OptimizerKind,
@@ -107,30 +118,14 @@ def grid_search(split_data, grid: GridSpec, kind: OptimizerKind,
     fails, RuntimeError.
     """
     results: list[GridPointResult] = []
-    best: Optional[GridPoint] = None
-    best_val = float("inf")
     for point in _grid_points(grid, kind):
-        try:
-            state, report = train(split_data, point.hyperparams, point.kind)
-            best_epoch = report.best_epoch
-            # state is the best epoch's model, whose validation RMSE train
-            # measured with the same rmse; with no epochs it is the init
-            val = (report.epochs[best_epoch - 1].val_rmse if report.epochs
-                   else rmse(state, split_data.validation))
-            status = "ok"
-        except RuntimeError as exc:
-            val = float("nan")
-            best_epoch = 0
-            status = str(exc)
-        results.append(GridPointResult(point, val, best_epoch, status))
-        if status == "ok" and val < best_val:
-            best_val = val
-            best = point
+        results.append(_run(split_data, point))
         if progress is not None:
             progress(results[-1])
-    if best is None:
+    ok = [r for r in results if r.status == "ok"]
+    if not ok:
         raise RuntimeError("every grid point failed to train")
-    return best, results
+    return min(ok, key=lambda r: r.val_rmse).point, results  # min keeps the first of a tie
 
 
 def grid_results_csv(results: Sequence[GridPointResult]) -> str:
@@ -143,6 +138,8 @@ def grid_results_csv(results: Sequence[GridPointResult]) -> str:
 
 @dataclass(frozen=True)
 class BenchRow:
+    "One (config, model): means over the seeds that trained, and each failed seed's message."
+
     dataset: str
     model: str
     mean_rmse: float
@@ -150,6 +147,7 @@ class BenchRow:
     seeds: int
     seed_rmses: tuple
     seed_best_epochs: tuple
+    failures: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ class BenchTable:
         return out.getvalue()
 
     def to_text(self) -> str:
-        "Aligned human-readable table, including the per-seed values."
+        "Aligned human-readable table with the per-seed values, then each failed run."
         out = io.StringIO()
         out.write(f"{'dataset':<10}{'model':<8}{'mean_rmse':>12}"
                   f"{'mean_best_epoch':>17}  per-seed rmse\n")
@@ -175,6 +173,9 @@ class BenchTable:
             per_seed = " ".join(f"{v:.5f}" for v in r.seed_rmses)
             out.write(f"{r.dataset:<10}{r.model:<8}{r.mean_rmse:>12.5f}"
                       f"{r.mean_best_epoch:>17.1f}  {per_seed}\n")
+        for r in self.rows:
+            for seed, message in r.failures:
+                out.write(f"{r.dataset} {r.model} seed {seed} failed: {message}\n")
         return out.getvalue()
 
 
@@ -192,8 +193,10 @@ def run_benchmark(data: TripleSet,
     is split once, and every model trains on that split, so ``log``
     gets its lines seed by seed, each seed's models in row order. Every
     model trains with h, its seed replaced by the run's. Row order is
-    configs as given, models in fixed presentation order (SGDM, SLF,
-    DRSLF), independent of the order requested.
+    configs as given, models in VALID_OPTIMIZERS order (SGDM, SLF,
+    DRSLF), independent of the order requested. A run that fails to
+    train is recorded in its row and logged with its message, as
+    grid_search records a point; if every run fails, RuntimeError.
     """
     if len(models) == 0:
         raise ValueError("no models requested")
@@ -213,29 +216,32 @@ def run_benchmark(data: TripleSet,
             raise ValueError(f"dataset config {label!r}: {exc}") from None
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seed in request")
-    ordered = sorted(models, key=lambda m: _MODEL_ORDER[m.name])
+    ordered = sorted(models, key=lambda m: VALID_OPTIMIZERS.index(m.name))
     rows = []
     for label, train_frac, val_frac in configs:
-        runs = {kind.name: [] for kind in ordered}  # (test RMSE, best epoch) per seed
+        runs = {kind.name: [] for kind in ordered}  # one result per seed
         for seed in seeds:
             # the split depends on the config and the seed only: every
             # model trains on one, and one is held at a time
             sp = split(data, train_frac, val_frac, seed)
             for kind in ordered:
-                _, report = train(sp, replace(h, seed=seed), kind)
-                runs[kind.name].append((report.final_test_rmse, report.best_epoch))
+                r = _run(sp, GridPoint(replace(h, seed=seed), kind))
+                runs[kind.name].append(r)
                 if log is not None:
-                    print(f"{label} {kind.name} seed={seed} "
-                          f"test_rmse={report.final_test_rmse:.5f} "
-                          f"best_epoch={report.best_epoch}", file=log)
+                    outcome = (f"test_rmse={r.test_rmse:.5f} best_epoch={r.best_epoch}"
+                               if r.status == "ok" else f"failed: {r.status}")
+                    print(f"{label} {kind.name} seed={seed} {outcome}", file=log)
             del sp
         for kind in ordered:
-            rmses, epochs = zip(*runs[kind.name])
-            rows.append(BenchRow(
-                dataset=label, model=kind.name,
-                mean_rmse=sum(rmses) / len(rmses),
-                mean_best_epoch=sum(epochs) / len(epochs),
-                seeds=len(seeds),
-                seed_rmses=rmses,
-                seed_best_epochs=epochs))
+            ok = [r for r in runs[kind.name] if r.status == "ok"]
+            rmses = tuple(r.test_rmse for r in ok)
+            epochs = tuple(r.best_epoch for r in ok)
+            failures = tuple((r.point.hyperparams.seed, r.status)
+                             for r in runs[kind.name] if r.status != "ok")
+            rows.append(BenchRow(label, kind.name,  # means are nan if no seed trained
+                                 sum(rmses) / len(ok) if ok else float("nan"),
+                                 sum(epochs) / len(ok) if ok else float("nan"),
+                                 len(ok), rmses, epochs, failures))
+    if not any(row.seeds for row in rows):
+        raise RuntimeError("every benchmark run failed")
     return BenchTable(rows=tuple(rows))

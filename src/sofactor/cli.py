@@ -138,6 +138,14 @@ def cmd_train(args) -> int:
             fh.write(report.to_csv(include_timing=args.timing))
     if args.save_factors:
         save_factors(args.save_factors, state)
+    stalled = report.stalled_epochs
+    if stalled:
+        # a solve with no iteration leaves the factors as they were, so
+        # every later epoch stalls too: the stalled epochs are a range
+        epochs = f"epoch {stalled[0]}" if len(stalled) == 1 else f"epochs {stalled[0]}-{stalled[-1]}"
+        print(f"warning: {epochs} of {len(report.epochs)} made no CG iteration: the gradient "
+              f"max-norm was at or below tau={h.tau!r}, so the factors did not move; "
+              f"a smaller --tau starts a solve", file=sys.stderr)
     print(report.summary())
     return 0
 

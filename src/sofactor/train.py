@@ -31,7 +31,8 @@ from .curvature import CurvatureContext
 from .data import IndexedDataset, SplitDataset
 from .model import FactorState, Hyperparams, check_fields, gradient, init_factors, rmse
 
-VALID_OPTIMIZERS = ("DRSLF", "SLF", "SGDM")
+# also bench's row order: first-order baseline, quadratic-only, full model
+VALID_OPTIMIZERS = ("SGDM", "SLF", "DRSLF")
 
 
 @dataclass(frozen=True)
@@ -54,19 +55,6 @@ class OptimizerKind:
             raise ValueError("learning_rate must be > 0")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-
-    @classmethod
-    def drslf(cls) -> "OptimizerKind":
-        return cls(name="DRSLF")
-
-    @classmethod
-    def slf(cls) -> "OptimizerKind":
-        return cls(name="SLF")
-
-    @classmethod
-    def sgdm(cls, *args, **kwargs) -> "OptimizerKind":
-        "SGDM with the knobs given, positional or by name, else the field defaults."
-        return cls("SGDM", *args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -109,6 +97,12 @@ class TrainReport:
                       f"{rec.inner_iters},{ms}\n")
         out.write(f"# {self.summary()}\n")
         return out.getvalue()
+
+    @property
+    def stalled_epochs(self) -> tuple[int, ...]:
+        """The epochs whose CG solve made no iteration (the gradient's max-norm
+        was at or below tau), so the factors did not move; never SGDM's."""
+        return tuple(rec.epoch for rec in self.epochs if rec.inner_iters == 0)
 
     def summary(self) -> str:
         return (f"final_test_rmse={self.final_test_rmse!r} "
@@ -280,7 +274,7 @@ def _sgdm_steps(x: FactorState, data: IndexedDataset, h: Hyperparams, kind: Opti
 
 
 def train(split: SplitDataset, h: Hyperparams,
-          kind: Optional[OptimizerKind] = None) -> tuple[FactorState, TrainReport]:
+          kind: OptimizerKind = OptimizerKind("DRSLF")) -> tuple[FactorState, TrainReport]:
     """Fit factors on split.train, early-stopping on split.validation.
 
     Returns the best-validation model and the full report. Identical
@@ -288,8 +282,6 @@ def train(split: SplitDataset, h: Hyperparams,
     draws are the seeded init and, for SGDM, the seeded per-epoch
     shuffles.
     """
-    if kind is None:
-        kind = OptimizerKind.drslf()
     t = split.train.base
     x = init_factors(t.num_users, t.num_services, h)
     if kind.name == "SGDM":

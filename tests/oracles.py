@@ -1,7 +1,9 @@
 """Reference implementations that the tests compare the library against,
 fixture writers and a memory probe that only the tests use."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +42,22 @@ def write_dense_matrix(path, t: TripleSet, missing: float = -1.0) -> None:
         for row in matrix:
             fh.write(" ".join(repr(float(v)) for v in row))
             fh.write("\n")
+
+
+def write_reduced_inputs(directory) -> dict:
+    """The reduced inputs, written into directory by the benchmark's own
+    seeded writers (``perfbench/inputs.py``, loaded by path): a 120 x 800
+    dense file of density 0.9 and 40,000 triples of 3000 x 2000, both at
+    seed 0. Returns each one's ``{"path", "sha256"}`` by name."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    directory = Path(directory)
+    dense = inputs.write_dense(directory / "dense.txt", 0, 120, 800, 0.9)
+    triples = inputs.write_triples(directory / "triples.txt", 0, 3000, 2000, 40_000)
+    return {"dense": {"path": str(directory / "dense.txt"), "sha256": dense["sha256"]},
+            "triples": {"path": str(directory / "triples.txt"), "sha256": triples["sha256"]}}
 
 
 def dense_gn_oracle(x: FactorState, data: IndexedDataset) -> np.ndarray:

@@ -202,8 +202,8 @@ def test_criterion_7_baseline_equivalences():
     h2 = Hyperparams(f=2, lambda_r1=0.0, lambda_r2=1e-4, gamma=1.0, tau=1e-6,
                      cg_max_iters=20, max_epochs=12, patience=12,
                      init_lo=0.2, init_hi=1.0, seed=8)
-    xa, ra = train(sp, h2, OptimizerKind.drslf())
-    xb, rb = train(sp, h2, OptimizerKind.slf())
+    xa, ra = train(sp, h2, OptimizerKind("DRSLF"))
+    xb, rb = train(sp, h2, OptimizerKind("SLF"))
     trace = lambda r: [(e.train_rmse, e.val_rmse) for e in r.epochs]
     slf_same = (trace(ra) == trace(rb)
                 and np.array_equal(xa.user_factors, xb.user_factors)
@@ -213,7 +213,7 @@ def test_criterion_7_baseline_equivalences():
     h1 = Hyperparams(f=2, lambda_r2=1e-3, max_epochs=4, patience=4,
                      init_lo=0.2, init_hi=1.0, seed=8)
     lr = 0.05
-    _, rc = train(sp, h1, OptimizerKind.sgdm(learning_rate=lr, momentum=0.0))
+    _, rc = train(sp, h1, OptimizerKind("SGDM", learning_rate=lr, momentum=0.0))
     tr = sp.train.base
     ref = init_factors(tr.num_users, tr.num_services, h1)
     xu, xs = ref.user_factors, ref.service_factors
@@ -303,7 +303,7 @@ def test_criterion_9_reference_benchmark_reproduction():
     data = load_dense_matrix(path)
     assert (data.num_users, data.num_services) == (339, 5825), \
         f"unexpected matrix shape {data.num_users} x {data.num_services}"
-    models = [OptimizerKind.sgdm(0.01, 0.9), OptimizerKind.slf(), OptimizerKind.drslf()]
+    models = [OptimizerKind("SGDM", 0.01, 0.9), OptimizerKind("SLF"), OptimizerKind("DRSLF")]
     table = run_benchmark(data, CONFIGS, [0, 1, 2, 3, 4], models, REFERENCE_H)
     ok = True
     details = []

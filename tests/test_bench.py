@@ -20,7 +20,7 @@ from sofactor.bench import (
 )
 from sofactor.data import TripleSet, build_index, split, synth_lowrank
 from sofactor.model import FactorState, Hyperparams
-from sofactor.train import OptimizerKind
+from sofactor.train import OptimizerKind, train
 
 
 def tiny_problem(seed=0):
@@ -80,7 +80,7 @@ def test_grid_search_single_point_grid_is_best():
     grid = GridSpec(lambda_r1_values=(0.03,), lambda_r2_values=(1e-5,),
                     gamma_values=(1.0,), learning_rate_values=(0.01,),
                     momentum_values=(0.0,), fixed=fast_h(max_epochs=2))
-    best, results = grid_search(sp, grid, OptimizerKind.drslf())
+    best, results = grid_search(sp, grid, OptimizerKind("DRSLF"))
     assert len(results) == 1 and results[0].status == "ok"
     assert (best.hyperparams.lambda_r1, best.hyperparams.lambda_r2,
             best.hyperparams.gamma) == (0.03, 1e-5, 1.0)
@@ -89,7 +89,7 @@ def test_grid_search_single_point_grid_is_best():
 def test_grid_search_two_point_grid_picks_lower_validation():
     _, sp = tiny_problem()
     grid = small_grid(gamma_values=(0.5,), lambda_r1_values=(0.0, 0.08))
-    best, results = grid_search(sp, grid, OptimizerKind.drslf())
+    best, results = grid_search(sp, grid, OptimizerKind("DRSLF"))
     assert len(results) == 2
     assert results[0].val_rmse != results[1].val_rmse  # strictly ordered pair
     lower = min(results, key=lambda r: r.val_rmse)
@@ -98,8 +98,8 @@ def test_grid_search_two_point_grid_picks_lower_validation():
 
 def test_grid_search_best_is_minimum_and_deterministic():
     _, sp = tiny_problem()
-    best1, res1 = grid_search(sp, small_grid(), OptimizerKind.drslf())
-    best2, res2 = grid_search(sp, small_grid(), OptimizerKind.drslf())
+    best1, res1 = grid_search(sp, small_grid(), OptimizerKind("DRSLF"))
+    best2, res2 = grid_search(sp, small_grid(), OptimizerKind("DRSLF"))
     assert res1 == res2
     assert best1 == best2
     assert len(res1) == 2 * 1 * 2
@@ -116,7 +116,7 @@ def test_grid_search_tie_breaks_lexicographically():
     _, sp = tiny_problem()
     grid = small_grid(lambda_r1_values=(0.05, 0.0), gamma_values=(2.0, 0.5),
                       lambda_r2_values=(1e-4, 1e-5), fixed=fast_h(max_epochs=0))
-    best, results = grid_search(sp, grid, OptimizerKind.drslf())
+    best, results = grid_search(sp, grid, OptimizerKind("DRSLF"))
     assert len({r.val_rmse for r in results}) == 1
     assert best.hyperparams.lambda_r1 == 0.0
     assert best.hyperparams.lambda_r2 == 1e-5
@@ -136,7 +136,7 @@ def test_grid_search_reads_validation_rmse_from_report(monkeypatch, epochs):
 
     monkeypatch.setattr(bench_mod, "rmse", counting)
     _, results = grid_search(sp, small_grid(fixed=fast_h(max_epochs=epochs)),
-                             OptimizerKind.drslf())
+                             OptimizerKind("DRSLF"))
     assert calls == ["validation"] * (len(results) if epochs == 0 else 0)
     for r in results:
         state, _ = bench_mod.train(sp, r.point.hyperparams, r.point.kind)
@@ -146,10 +146,10 @@ def test_grid_search_reads_validation_rmse_from_report(monkeypatch, epochs):
 def test_grid_search_axes_per_optimizer():
     _, sp = tiny_problem()
     grid = small_grid(fixed=fast_h(max_epochs=1))
-    _, slf = grid_search(sp, grid, OptimizerKind.slf())
+    _, slf = grid_search(sp, grid, OptimizerKind("SLF"))
     assert len(slf) == 1 * 2  # lambda_r2 x gamma only
     assert all(r.point.hyperparams.lambda_r1 == 0.0 for r in slf)
-    _, sgdm = grid_search(sp, grid, OptimizerKind.sgdm())
+    _, sgdm = grid_search(sp, grid, OptimizerKind("SGDM"))
     assert len(sgdm) == 2 * 2 * 1  # lr x momentum x lambda_r2
     assert all(r.point.hyperparams.lambda_r1 == 0.0 for r in sgdm)
     assert {(r.point.kind.learning_rate, r.point.kind.momentum) for r in sgdm} == \
@@ -159,7 +159,7 @@ def test_grid_search_axes_per_optimizer():
 def test_grid_search_records_failures_and_skips_them():
     _, sp = tiny_problem()
     grid = small_grid(learning_rate_values=(0.02, 1e9), momentum_values=(0.0,))
-    best, results = grid_search(sp, grid, OptimizerKind.sgdm())
+    best, results = grid_search(sp, grid, OptimizerKind("SGDM"))
     blown = [r for r in results if r.status != "ok"]
     assert blown and all(np.isnan(r.val_rmse) for r in blown)
     assert all(r.point.kind.learning_rate == 1e9 for r in blown)
@@ -171,13 +171,13 @@ def test_grid_search_all_failures_raise():
     grid = small_grid(learning_rate_values=(1e9,), momentum_values=(0.0,),
                       lambda_r2_values=(1e-5,))
     with pytest.raises(RuntimeError, match="every grid point failed"):
-        grid_search(sp, grid, OptimizerKind.sgdm())
+        grid_search(sp, grid, OptimizerKind("SGDM"))
 
 
 def test_grid_results_csv_layout():
     _, sp = tiny_problem()
     _, results = grid_search(sp, small_grid(fixed=fast_h(max_epochs=1)),
-                             OptimizerKind.slf())
+                             OptimizerKind("SLF"))
     text = grid_results_csv(results)
     lines = text.strip().split("\n")
     assert lines[0] == ("lambda_r1,lambda_r2,gamma,learning_rate,momentum,"
@@ -190,7 +190,7 @@ def test_grid_results_csv_layout():
                                     "epoch 2: non-finite RMSE (train=nan, val=inf)"])
 def test_grid_results_csv_quotes_failure_with_comma(status):
     point = GridPoint(Hyperparams(lambda_r1=0.05, lambda_r2=1e-5, gamma=0.0),
-                      OptimizerKind.drslf())
+                      OptimizerKind("DRSLF"))
     ok = GridPointResult(point, 0.5, 3, "ok")
     failed = GridPointResult(point, float("nan"), 0, status)
     rows = list(csv.reader(io.StringIO(grid_results_csv([ok, failed]))))
@@ -205,8 +205,8 @@ def test_grid_results_csv_quotes_failure_with_comma(status):
 def test_run_benchmark_row_order_invariant_to_request_order():
     t, _ = tiny_problem()
     h = fast_h(max_epochs=2)
-    models_a = [OptimizerKind.drslf(), OptimizerKind.sgdm(0.05, 0.5), OptimizerKind.slf()]
-    models_b = [OptimizerKind.sgdm(0.05, 0.5), OptimizerKind.slf(), OptimizerKind.drslf()]
+    models_a = [OptimizerKind("DRSLF"), OptimizerKind("SGDM", 0.05, 0.5), OptimizerKind("SLF")]
+    models_b = [OptimizerKind("SGDM", 0.05, 0.5), OptimizerKind("SLF"), OptimizerKind("DRSLF")]
     configs = [("tiny", 0.6, 0.2)]
     table_a = run_benchmark(t, configs, [0, 1], models_a, h)
     table_b = run_benchmark(t, configs, [0, 1], models_b, h)
@@ -218,7 +218,7 @@ def test_run_benchmark_aggregates_per_seed_runs():
     t, _ = tiny_problem()
     h = fast_h(max_epochs=3)
     table = run_benchmark(t, [("tiny", 0.6, 0.2)], [0, 1, 2],
-                          [OptimizerKind.slf()], h)
+                          [OptimizerKind("SLF")], h)
     row = table.rows[0]
     assert row.seeds == 3 and len(row.seed_rmses) == 3
     assert row.mean_rmse == pytest.approx(sum(row.seed_rmses) / 3, rel=1e-15)
@@ -236,30 +236,30 @@ def test_run_benchmark_validates_request(monkeypatch):
     with pytest.raises(ValueError, match="no models"):
         run_benchmark(t, [("a", 0.6, 0.2)], [0], [], fast_h())
     with pytest.raises(ValueError, match="no seeds"):
-        run_benchmark(t, [("a", 0.6, 0.2)], [], [OptimizerKind.slf()], fast_h())
+        run_benchmark(t, [("a", 0.6, 0.2)], [], [OptimizerKind("SLF")], fast_h())
     with pytest.raises(ValueError, match="no dataset"):
-        run_benchmark(t, [], [0], [OptimizerKind.slf()], fast_h())
+        run_benchmark(t, [], [0], [OptimizerKind("SLF")], fast_h())
     with pytest.raises(ValueError, match="duplicate model"):
         run_benchmark(t, [("a", 0.6, 0.2)], [0],
-                      [OptimizerKind.slf(), OptimizerKind.slf()], fast_h())
+                      [OptimizerKind("SLF"), OptimizerKind("SLF")], fast_h())
     with pytest.raises(ValueError, match="duplicate dataset"):
         run_benchmark(t, [("a", 0.6, 0.2), ("a", 0.5, 0.2)], [0],
-                      [OptimizerKind.slf()], fast_h())
+                      [OptimizerKind("SLF")], fast_h())
     with pytest.raises(ValueError, match="duplicate seed"):
-        run_benchmark(t, [("a", 0.6, 0.2)], [0, 1, 0], [OptimizerKind.slf()], fast_h())
+        run_benchmark(t, [("a", 0.6, 0.2)], [0, 1, 0], [OptimizerKind("SLF")], fast_h())
     # the second config's fractions are refused before the first one trains
     with pytest.raises(ValueError, match="^dataset config 'bad': .*must not exceed 1"):
         run_benchmark(t, [("a", 0.6, 0.2), ("bad", 0.9, 0.5)], [0],
-                      [OptimizerKind.slf()], fast_h())
+                      [OptimizerKind("SLF")], fast_h())
     with pytest.raises(ValueError, match=r"^dataset config 'bad': .*lie in \(0, 1\)"):
         run_benchmark(t, [("a", 0.6, 0.2), ("bad", 0.0, 0.5)], [0],
-                      [OptimizerKind.slf()], fast_h())
+                      [OptimizerKind("SLF")], fast_h())
 
 
 def test_bench_table_csv_layout():
     t, _ = tiny_problem()
     table = run_benchmark(t, [("tiny", 0.6, 0.2)], [0, 1],
-                          [OptimizerKind.sgdm(0.05, 0.5)], fast_h(max_epochs=2))
+                          [OptimizerKind("SGDM", 0.05, 0.5)], fast_h(max_epochs=2))
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "dataset,model,mean_rmse,mean_best_epoch,seeds"
     cells = lines[1].split(",")
@@ -269,7 +269,7 @@ def test_bench_table_csv_layout():
 
 
 BENCH_CONFIGS = [("tiny", 0.6, 0.2), ("half", 0.5, 0.25)]
-BENCH_MODELS = [OptimizerKind.drslf(), OptimizerKind.sgdm(0.05, 0.5), OptimizerKind.slf()]
+BENCH_MODELS = [OptimizerKind("DRSLF"), OptimizerKind("SGDM", 0.05, 0.5), OptimizerKind("SLF")]
 
 
 def test_run_benchmark_splits_each_config_and_seed_once(monkeypatch):
@@ -304,3 +304,62 @@ def test_run_benchmark_csv_keeps_its_bytes():
         "half,DRSLF,0.16992248098076645,4.5,2\n")
     assert table.rows[0].seed_rmses == (0.0339008726981584, 0.159582726849165)
     assert table.rows[0].seed_best_epochs == (1, 8)
+
+
+# ------------------------------------------------------- failed bench runs
+
+def test_run_benchmark_records_a_diverging_model_beside_a_working_one():
+    t, _ = tiny_problem()
+    configs = [("tiny", 0.6, 0.2)]
+    log = io.StringIO()
+    models = [OptimizerKind("SGDM", 1e9, 0.0), OptimizerKind("SLF")]
+    table = run_benchmark(t, configs, [0, 1], models, fast_h(max_epochs=2), log=log)
+    alone = run_benchmark(t, configs, [0, 1], [OptimizerKind("SLF")], fast_h(max_epochs=2))
+    lines = table.to_csv().splitlines()
+    assert lines == ["dataset,model,mean_rmse,mean_best_epoch,seeds",
+                     "tiny,SGDM,nan,nan,0", alone.to_csv().splitlines()[1]]
+    sgdm, slf = table.rows
+    assert slf == alone.rows[0]
+    assert (sgdm.seed_rmses, sgdm.seed_best_epochs) == ((), ())
+    message = "epoch 1: factors diverged to non-finite values"
+    assert sgdm.failures == ((0, message), (1, message))
+    text = table.to_text()
+    assert f"tiny SGDM seed 0 failed: {message}\ntiny SGDM seed 1 failed: {message}\n" in text
+    assert f"tiny SGDM seed=0 failed: {message}\n" in log.getvalue()
+    assert "tiny SLF seed=1 test_rmse=" in log.getvalue()
+
+
+def test_run_benchmark_row_covers_the_seeds_that_trained(monkeypatch):
+    def seed_1_fails(sp, h, kind):
+        if h.seed == 1:
+            raise RuntimeError("epoch 2: <p, A p> = -0.0 at iteration 1")
+        return train(sp, h, kind)
+
+    t, _ = tiny_problem()
+    configs = [("tiny", 0.6, 0.2)]
+    seed_0 = run_benchmark(t, configs, [0], [OptimizerKind("SLF")], fast_h()).rows[0]
+    monkeypatch.setattr(bench_mod, "train", seed_1_fails)
+    row = run_benchmark(t, configs, [0, 1], [OptimizerKind("SLF")], fast_h()).rows[0]
+    assert (row.seeds, row.seed_rmses, row.seed_best_epochs) == \
+        (1, seed_0.seed_rmses, seed_0.seed_best_epochs)
+    assert (row.mean_rmse, row.mean_best_epoch) == (seed_0.mean_rmse, seed_0.mean_best_epoch)
+    assert row.failures == ((1, "epoch 2: <p, A p> = -0.0 at iteration 1"),)
+
+
+def test_run_benchmark_raises_when_every_run_fails():
+    t, _ = tiny_problem()
+    with pytest.raises(RuntimeError, match="every benchmark run failed"):
+        run_benchmark(t, BENCH_CONFIGS, [0, 1], [OptimizerKind("SGDM", 1e9, 0.0)],
+                      fast_h(max_epochs=2))
+
+
+def test_grid_and_bench_record_the_same_run():
+    # a bench run is the grid point of its model with the run's seed
+    t, sp = tiny_problem(seed=1)
+    h = fast_h(max_epochs=3, seed=1)
+    grid = GridSpec(lambda_r1_values=(h.lambda_r1,), lambda_r2_values=(h.lambda_r2,),
+                    gamma_values=(h.gamma,), fixed=h)
+    _, (result,) = grid_search(sp, grid, OptimizerKind("DRSLF"))
+    row = run_benchmark(t, [("tiny", 0.6, 0.2)], [1], [OptimizerKind("DRSLF")], h).rows[0]
+    assert row.seed_rmses == (result.test_rmse,)
+    assert row.seed_best_epochs == (result.best_epoch,)

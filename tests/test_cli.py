@@ -19,7 +19,7 @@ from sofactor.data import load_triples, sniff_format, synth_lowrank, write_tripl
 from sofactor.model import Hyperparams, load_factors
 from sofactor.train import OptimizerKind
 
-from oracles import write_dense_matrix
+from oracles import write_dense_matrix, write_reduced_inputs
 
 
 def write_synth_file(path, seed=0):
@@ -118,6 +118,23 @@ def test_train_command_writes_csv_and_summary(tmp_path, capsys):
     assert lines[0] == "epoch,train_rmse,val_rmse,inner_iters,wall_ms"
     assert lines[-1].startswith("#")
     assert load_factors(factors).f == 2
+
+
+STALL = ("warning: {} made no CG iteration: the gradient max-norm was at or below "
+         "tau={}, so the factors did not move; a smaller --tau starts a solve\n")
+
+
+@pytest.mark.parametrize("args,err", [
+    (["--model", "m3", "--max-epochs", "3"], STALL.format("epochs 1-3 of 3", "10.0")),
+    (["--model", "m2", "--max-epochs", "1", "--tau", "6"], STALL.format("epoch 1 of 1", "6.0")),
+    (["--model", "m2", "--max-epochs", "3", "--tau", "1"], ""),
+], ids=["m3", "m2-one-epoch", "m2-tau1"])
+def test_train_names_a_stall_on_stderr(tmp_path, capsys, args, err):
+    data = write_reduced_inputs(tmp_path)["dense"]["path"]
+    assert main(["train", "--data", data, *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out.startswith("final_test_rmse=")
 
 
 def test_train_csv_byte_identical_across_runs(tmp_path):
@@ -226,7 +243,7 @@ def test_bench_named_dataset_configs(tmp_path, capsys):
     captured = capsys.readouterr()
     h = Hyperparams(f=2, tau=1e-6, max_epochs=2, init_lo=0.2, init_hi=1.0)
     table = run_benchmark(t, [("d1", 0.10, 0.45), ("d2", 0.20, 0.40)], [0],
-                          [OptimizerKind.slf()], h)
+                          [OptimizerKind("SLF")], h)
     assert captured.out == table.to_text()
     # --progress logs one line per run
     assert [line.split()[:3] for line in captured.err.splitlines()] == [
@@ -511,9 +528,9 @@ def test_every_optimizer_knob_and_grid_axis_has_a_flag(command):
         assert all(type(v) is float for n in axes for v in getattr(grid, n))
     else:
         kind = _make_kind("SGDM", args)
-        assert kind == OptimizerKind.sgdm(**knobs)
+        assert kind == OptimizerKind("SGDM", **knobs)
         assert all(type(getattr(kind, n)) is float for n in knobs)
-        assert _make_kind("DRSLF", args) == OptimizerKind.drslf()  # knobs are SGDM's only
+        assert _make_kind("DRSLF", args) == OptimizerKind("DRSLF")  # knobs are SGDM's only
     for name, value in given.items():
         assert value != getattr(GridSpec() if name in axes else OptimizerKind("SGDM"), name)
 
@@ -535,4 +552,4 @@ def test_parsed_defaults_are_the_dataclass_defaults(command):
     if command == "grid":
         assert _from_args(GridSpec, args, fixed=Hyperparams()) == GridSpec()
     else:
-        assert _make_kind("SGDM", args) == OptimizerKind.sgdm()
+        assert _make_kind("SGDM", args) == OptimizerKind("SGDM")

@@ -9,7 +9,7 @@ import pytest
 
 from sofactor.cg import IndefiniteOperatorError, cg_solve
 from sofactor.curvature import CurvatureContext
-from sofactor.data import TripleSet, split, synth_lowrank
+from sofactor.data import TripleSet, load_dataset, split, synth_lowrank
 from sofactor.model import Hyperparams, gradient, init_factors, rmse
 
 train_mod = importlib.import_module("sofactor.train")
@@ -22,7 +22,7 @@ from sofactor.train import (
     train,
 )
 
-from oracles import traced_peak
+from oracles import traced_peak, write_reduced_inputs
 
 
 def make_split(seed=0, nu=25, ns=30, rank=2, noise=0.02):
@@ -49,37 +49,37 @@ def test_optimizer_kind_validation():
     with pytest.raises(ValueError, match="unknown optimizer"):
         OptimizerKind(name="ADAM")
     with pytest.raises(ValueError):
-        OptimizerKind.sgdm(learning_rate=0.0)
+        OptimizerKind("SGDM", learning_rate=0.0)
     with pytest.raises(ValueError):
-        OptimizerKind.sgdm(momentum=1.0)
-    assert OptimizerKind.drslf().name == "DRSLF"
-    assert OptimizerKind.slf().name == "SLF"
+        OptimizerKind("SGDM", momentum=1.0)
+    assert OptimizerKind("DRSLF").name == "DRSLF"
+    assert OptimizerKind("SLF").name == "SLF"
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 @pytest.mark.parametrize("name", ["learning_rate", "momentum"])
 def test_optimizer_kind_rejects_non_finite_floats(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        OptimizerKind.sgdm(**{name: value})
+        OptimizerKind("SGDM", **{name: value})
 
 
 @pytest.mark.parametrize("value", [True, np.bool_(False), "0.1", None])
 @pytest.mark.parametrize("name", ["learning_rate", "momentum"])
 def test_optimizer_kind_rejects_floats_that_are_not_real_numbers(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
-        OptimizerKind.sgdm(**{name: value})
+        OptimizerKind("SGDM", **{name: value})
 
 
 def test_optimizer_kind_takes_ints_and_numpy_numbers():
-    kind = OptimizerKind.sgdm(learning_rate=np.float32(0.5), momentum=0)
+    kind = OptimizerKind("SGDM", learning_rate=np.float32(0.5), momentum=0)
     assert (kind.learning_rate, kind.momentum) == (0.5, 0)
-    assert OptimizerKind.sgdm(learning_rate=1, momentum=np.float64(0.5)).learning_rate == 1
+    assert OptimizerKind("SGDM", learning_rate=1, momentum=np.float64(0.5)).learning_rate == 1
 
 
 # --------------------------------------------------------------- determinism
 
-@pytest.mark.parametrize("kind", [OptimizerKind.drslf(),
-                                  OptimizerKind.sgdm(0.05, 0.5)])
+@pytest.mark.parametrize("kind", [OptimizerKind("DRSLF"),
+                                  OptimizerKind("SGDM", 0.05, 0.5)])
 def test_training_is_deterministic(kind):
     sp = make_split()
     h = so_params()
@@ -103,8 +103,8 @@ def test_seed_changes_trajectory():
 def test_slf_equals_drslf_without_l1():
     sp = make_split()
     h = so_params(lambda_r1=0.0)
-    x_a, r_a = train(sp, h, OptimizerKind.drslf())
-    x_b, r_b = train(sp, so_params(lambda_r1=0.37), OptimizerKind.slf())
+    x_a, r_a = train(sp, h, OptimizerKind("DRSLF"))
+    x_b, r_b = train(sp, so_params(lambda_r1=0.37), OptimizerKind("SLF"))
     # SLF drops the smooth L1 term no matter what lambda_r1 says
     assert traces(r_a) == traces(r_b)
     np.testing.assert_array_equal(x_a.user_factors, x_b.user_factors)
@@ -135,7 +135,7 @@ def plain_sgd_reference(sp, h, lr, epochs):
 def test_sgdm_momentum_zero_is_plain_sgd():
     sp = make_split()
     h = so_params(max_epochs=3, patience=3, lambda_r2=1e-3)
-    got, _ = train(sp, h, OptimizerKind.sgdm(learning_rate=0.05, momentum=0.0))
+    got, _ = train(sp, h, OptimizerKind("SGDM", learning_rate=0.05, momentum=0.0))
     # train() returns the best-validation snapshot; rerun to the last epoch
     # is unnecessary because 3 epochs of fitting keep improving here
     want = plain_sgd_reference(sp, h, lr=0.05, epochs=3)
@@ -223,7 +223,7 @@ def test_sgdm_carries_velocity_across_epochs():
     # shuffles, with one velocity table carried from each into the next
     sp = make_split()
     h = so_params(max_epochs=3, patience=3, lambda_r2=1e-3)
-    got, report = train(sp, h, OptimizerKind.sgdm(0.05, 0.6))
+    got, report = train(sp, h, OptimizerKind("SGDM", 0.05, 0.6))
     assert report.best_epoch == 3  # so the returned snapshot is the last epoch's
     t = sp.train.base
     want = init_factors(t.num_users, t.num_services, h)
@@ -390,7 +390,7 @@ def test_inner_iteration_counts():
     _, r_so = train(sp, so_params(cg_max_iters=7, max_epochs=4, patience=50))
     assert all(1 <= r.inner_iters <= 7 for r in r_so.epochs)
     _, r_sgd = train(sp, so_params(max_epochs=2, patience=50),
-                     OptimizerKind.sgdm(0.05, 0.5))
+                     OptimizerKind("SGDM", 0.05, 0.5))
     assert all(r.inner_iters == len(sp.train) for r in r_sgd.epochs)
 
 
@@ -455,7 +455,7 @@ def test_zero_step_after_a_useful_step_is_solved_once(monkeypatch):
     assert not again.delta.any() and again.iterations == second.inner_iters
 
 
-@pytest.mark.parametrize("kind", [OptimizerKind.drslf(), OptimizerKind.slf()])
+@pytest.mark.parametrize("kind", [OptimizerKind("DRSLF"), OptimizerKind("SLF")])
 def test_stepping_run_solves_every_epoch(monkeypatch, kind):
     sp = make_split()
     solves = counted_solves(monkeypatch)
@@ -497,7 +497,7 @@ def test_no_epoch_holds_its_solve_into_the_next(monkeypatch):
 def test_sgdm_divergence_reports_epoch():
     sp = make_split()
     with pytest.raises(RuntimeError, match="epoch 1"):
-        train(sp, so_params(max_epochs=5), OptimizerKind.sgdm(learning_rate=1e6))
+        train(sp, so_params(max_epochs=5), OptimizerKind("SGDM", learning_rate=1e6))
 
 
 def test_sgdm_divergence_emits_no_float_warning():
@@ -507,7 +507,7 @@ def test_sgdm_divergence_emits_no_float_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="epoch 1: factors diverged"):
-            train(sp, so_params(max_epochs=5), OptimizerKind.sgdm(learning_rate=1e6))
+            train(sp, so_params(max_epochs=5), OptimizerKind("SGDM", learning_rate=1e6))
 
 
 def test_overflowing_residual_sum_is_a_named_failure():
@@ -520,7 +520,7 @@ def test_overflowing_residual_sum_is_a_named_failure():
         with pytest.raises(RuntimeError,
                            match=r"^epoch 1: non-finite RMSE \(train=inf, val=inf\)$"):
             train(split(big, 0.6, 0.2, 0), so_params(tau=1e300, max_epochs=2),
-                  OptimizerKind.slf())
+                  OptimizerKind("SLF"))
 
 
 def test_cg_failure_carries_epoch_index(monkeypatch):
@@ -593,3 +593,37 @@ def test_csv_summary_reflects_report():
     s = rep.summary()
     assert "final_test_rmse=0.55" in s
     assert "best_epoch=1" in s and "stop_reason=max_epochs" in s
+
+
+# ------------------------------------------------------------------ stalls
+
+def test_stalled_epochs_are_the_solves_with_no_iteration():
+    # epoch 1's zero step after 10 iterations is no stall
+    rep = TrainReport(epochs=[EpochRecord(1, 0.5, 0.6, 10, 1.0),
+                              EpochRecord(2, 0.5, 0.6, 0, 1.0),
+                              EpochRecord(3, 0.5, 0.6, 0, 1.0)])
+    assert rep.stalled_epochs == (2, 3)
+    assert TrainReport().stalled_epochs == ()
+
+
+@pytest.fixture(scope="module")
+def reduced_dense_split(tmp_path_factory):
+    inputs = write_reduced_inputs(tmp_path_factory.mktemp("reduced"))
+    return split(load_dataset(inputs["dense"]["path"]), 0.10, 0.45, 0)  # the CLI's default
+
+
+@pytest.mark.parametrize("name,settings,stalled", [
+    # at the default tau the gradient max-norm (5.62 for SLF, 3.96 for
+    # DRSLF at the init) is below tau = 10: no epoch starts a solve
+    ("SLF", {}, (1, 2, 3)),
+    ("DRSLF", {}, (1, 2, 3)),
+    ("SLF", {"tau": 1.0}, ()),
+    ("DRSLF", {"tau": 1.0}, ()),  # zero steps, each after CG iterations
+    ("DRSLF", {"tau": 1.0, "lambda_r1": 0.001}, ()),
+    ("SGDM", {}, ()),
+])
+def test_stalled_epochs_on_the_reduced_dense_input(reduced_dense_split, name, settings, stalled):
+    _, report = train(reduced_dense_split, Hyperparams(max_epochs=3, **settings),
+                      OptimizerKind(name))
+    assert report.stalled_epochs == stalled
+    assert len(report.epochs) == 3

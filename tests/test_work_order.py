@@ -161,7 +161,7 @@ def test_l1_curvature_skipped_at_lambda_r1_zero():
 def test_only_the_train_set_builds_the_view():
     d, _ = problem("empty-rows-and-columns", f=1)
     h = Hyperparams(f=2, max_epochs=2, patience=3, tau=0.01)
-    for kind in (OptimizerKind.drslf(), OptimizerKind.slf()):
+    for kind in (OptimizerKind("DRSLF"), OptimizerKind("SLF")):
         parts = split(d.base, 0.5, 0.25, seed=2)
         train(parts, h, kind)
         assert "_built" in vars(parts.train)
