@@ -170,9 +170,9 @@ class BenchTable:
         out.write(f"{'dataset':<10}{'model':<8}{'mean_rmse':>12}"
                   f"{'mean_best_epoch':>17}  per-seed rmse\n")
         for r in self.rows:
-            per_seed = " ".join(f"{v:.5f}" for v in r.seed_rmses)
+            per_seed = "  " + " ".join(f"{v:.5f}" for v in r.seed_rmses) if r.seed_rmses else ""
             out.write(f"{r.dataset:<10}{r.model:<8}{r.mean_rmse:>12.5f}"
-                      f"{r.mean_best_epoch:>17.1f}  {per_seed}\n")
+                      f"{r.mean_best_epoch:>17.1f}{per_seed}\n")
         for r in self.rows:
             for seed, message in r.failures:
                 out.write(f"{r.dataset} {r.model} seed {seed} failed: {message}\n")
@@ -216,6 +216,8 @@ def run_benchmark(data: TripleSet,
             raise ValueError(f"dataset config {label!r}: {exc}") from None
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seed in request")
+    if min(seeds) < 0:
+        raise ValueError("seed must be >= 0")
     ordered = sorted(models, key=lambda m: VALID_OPTIMIZERS.index(m.name))
     rows = []
     for label, train_frac, val_frac in configs:

@@ -646,6 +646,8 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     theirs on first use, if any, since evaluation reads only ``base``.
     """
     check_fractions(train_frac, val_frac)
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     n = len(t)
     n_train = math.floor(n * train_frac)
     n_val = math.floor(n * val_frac)
@@ -707,6 +709,8 @@ def synth_lowrank(num_users: int, num_services: int, rank: int, density: float,
         raise ValueError("noise_sigma must be >= 0")
     if not init_lo < init_hi:
         raise ValueError("init_lo must be < init_hi")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     user_factors = rng.uniform(init_lo, init_hi, size=(num_users, rank))
     service_factors = rng.uniform(init_lo, init_hi, size=(num_services, rank))

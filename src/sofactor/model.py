@@ -88,6 +88,8 @@ class Hyperparams:
             raise ValueError("patience must be >= 1")
         if not self.init_lo < self.init_hi:
             raise ValueError("init range must satisfy init_lo < init_hi")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class FactorState:

@@ -11,12 +11,14 @@ identical to it.
 The pool serves the per-epoch passes over all observations: these dots
 and the weighted sums of ``data.RaggedIndex``. Large calls split their
 output into the contiguous spans of ``span_bounds``, which decides every
-split in the library, and run them on one per-process pool of WORKERS
-threads, one per CPU this process may run on (``run_spans``). numpy's
-``take`` and ``einsum`` and scipy's sparse products release the GIL, so
-the spans run at once. Every output element goes through the same
-operations whichever span holds it, so no byte depends on the worker
-count. Set-up, which runs once, runs on the calling thread.
+split in the library, and run them on the process's one pool of WORKERS
+threads, one per CPU this process may run on (``run_spans``). The pool
+is made at import, the first pooled pass starts its threads, and a
+forked child gets a fresh one. numpy's ``take`` and ``einsum`` and
+scipy's sparse products release the GIL, so the spans run at once. No
+byte depends on the worker count: every output element goes through
+the same operations whichever span holds it. Set-up runs on the
+calling thread.
 
 ``dot`` is the library's one inner product: CG's inner products and
 the residual sums of RMSE and the loss go through it, so one function
@@ -28,7 +30,6 @@ count imports this one.
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -49,28 +50,18 @@ def _cpus() -> int:
 
 
 WORKERS = _cpus()
-_pool = None
-_pool_lock = threading.Lock()
+_pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="sofactor")
 
 
 def _drop_pool() -> None:
-    """Forget the pool in a forked child: its threads were not copied,
-    so work handed to it would never run."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    """Give a forked child a fresh pool: the parent's threads were not
+    copied, so work handed to its pool would never run."""
+    global _pool
+    _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="sofactor")
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _executor() -> ThreadPoolExecutor:
-    "The process's pool, started on first use."
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="sofactor")
-        return _pool
 
 
 def span_bounds(n: int, quantum: int = 1) -> list:
@@ -87,21 +78,20 @@ def span_bounds(n: int, quantum: int = 1) -> list:
 def run_spans(fn, bounds) -> None:
     """fn(lo, hi) for each pair of neighbouring entries of bounds.
 
-    With one span, or one worker, the spans run inline, in order, and no
-    pool is started. Otherwise they run on the pool, and this returns,
-    or raises the first failed span's error, only once every span has
-    finished, so no span still writes to the caller's arrays.
+    One span runs inline, on the calling thread. More run on the pool,
+    and this returns, or raises the first failed span's error, only once
+    every span has finished, so no span still writes to the caller's
+    arrays.
     """
     spans = list(zip(bounds[:-1], bounds[1:]))
-    if len(spans) <= 1 or WORKERS == 1:
+    if len(spans) <= 1:
         for lo, hi in spans:
             fn(lo, hi)
         return
     futures = []
     try:
-        pool = _executor()
         for lo, hi in spans:
-            futures.append(pool.submit(fn, lo, hi))
+            futures.append(_pool.submit(fn, lo, hi))
     finally:
         wait(futures)
     for future in futures:

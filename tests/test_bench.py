@@ -247,6 +247,9 @@ def test_run_benchmark_validates_request(monkeypatch):
                       [OptimizerKind("SLF")], fast_h())
     with pytest.raises(ValueError, match="duplicate seed"):
         run_benchmark(t, [("a", 0.6, 0.2)], [0, 1, 0], [OptimizerKind("SLF")], fast_h())
+    # a negative seed is refused before seed 0 trains
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        run_benchmark(t, [("a", 0.6, 0.2)], [0, -1], [OptimizerKind("SLF")], fast_h())
     # the second config's fractions are refused before the first one trains
     with pytest.raises(ValueError, match="^dataset config 'bad': .*must not exceed 1"):
         run_benchmark(t, [("a", 0.6, 0.2), ("bad", 0.9, 0.5)], [0],
@@ -325,6 +328,7 @@ def test_run_benchmark_records_a_diverging_model_beside_a_working_one():
     assert sgdm.failures == ((0, message), (1, message))
     text = table.to_text()
     assert f"tiny SGDM seed 0 failed: {message}\ntiny SGDM seed 1 failed: {message}\n" in text
+    assert all(line == line.rstrip() for line in text.splitlines())  # the nan row too
     assert f"tiny SGDM seed=0 failed: {message}\n" in log.getvalue()
     assert "tiny SLF seed=1 test_rmse=" in log.getvalue()
 

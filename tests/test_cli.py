@@ -251,7 +251,7 @@ def test_bench_named_dataset_configs(tmp_path, capsys):
 
 
 # Runs sofactor train for each model in a fresh interpreter; argv[1] is
-# "one" to pin the process to one CPU before sofactor starts its pool,
+# "one" to pin the process to one CPU before sofactor counts its workers,
 # argv[2] the JSON list of argument lists. Prints the worker count first.
 _TRAIN_CHILD = """
 import contextlib, io, json, os, sys
@@ -419,6 +419,23 @@ def test_non_finite_hyperparameter_errors_cleanly(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.err == "error: tau must be finite, got nan\n"
     assert out.out == ""
+
+
+@pytest.mark.parametrize("command", [["train", *FAST, "--seed", "-1"],
+                                     ["bench", "--seeds", "0,-1"],
+                                     ["synth", "--num-users", "5", "--num-services", "5",
+                                      "--seed", "-1"]])
+def test_a_negative_seed_errors_naming_the_seed(tmp_path, capsys, command):
+    data = tmp_path / "d.txt"
+    write_synth_file(data)
+    out = tmp_path / "out.txt"
+    args = [*command, "--out", str(out)]
+    if command[0] != "synth":
+        args += ["--data", str(data)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be >= 0\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_usage_error_exits_2():

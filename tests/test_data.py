@@ -8,6 +8,7 @@ import copy
 import re
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -940,13 +941,13 @@ def test_weighted_sums_reject_positions_and_out_of_another_shape():
 
 
 def bar_pool(monkeypatch, workers):
-    """Set WORKERS and make the pool fail to start: set-up runs on the
-    calling thread, so it must give its serial bytes all the same."""
-    def no_pool():
-        raise AssertionError("set-up started the pool")
+    """Set WORKERS and bar the pool: set-up runs on the calling thread,
+    so it must give its serial bytes all the same."""
+    def no_work(*args):
+        raise AssertionError("set-up submitted work to the pool")
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
-    monkeypatch.setattr(sddmm, "_executor", no_pool)
+    monkeypatch.setattr(sddmm, "_pool", SimpleNamespace(submit=no_work))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -1031,7 +1032,7 @@ def set_up_arrays(d):
 
 def test_set_up_starts_no_pool_at_any_worker_count(monkeypatch):
     # split (the train part's work order with it) and build_index run on
-    # the calling thread: on two workers, with a pool that cannot start,
+    # the calling thread: on two workers, with a pool that refuses work,
     # they give the one-worker bytes at 4 * MIN_SPAN observations, where
     # a pooled pass over the whole set or the train part would split
     t = distinct_cells(4 * sddmm.MIN_SPAN, seed=47)
@@ -1237,6 +1238,11 @@ def test_split_rejects_too_small_input():
         split(t, 0.4, 0.4, seed=0)
 
 
+def test_split_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        split(small_set(), 0.5, 0.25, seed=-1)
+
+
 # ---------------------------------------------------------------- synth
 
 def test_synth_lowrank_noiseless_matches_truth():
@@ -1283,3 +1289,5 @@ def test_synth_lowrank_validates_args():
         synth_lowrank(5, 5, 2, 0.5, -0.1, seed=0)
     with pytest.raises(ValueError, match="init_lo must be < init_hi"):
         synth_lowrank(5, 5, 2, 0.5, 0.0, seed=0, init_lo=0.3, init_hi=0.3)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        synth_lowrank(5, 5, 2, 0.5, 0.0, seed=-1)

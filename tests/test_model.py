@@ -70,7 +70,7 @@ def fd_gradient(x, d, h, step=1e-5):
 @pytest.mark.parametrize("kw", [
     dict(f=0), dict(lambda_r1=-0.1), dict(lambda_r2=-1e-9), dict(epsilon=0.0),
     dict(epsilon=-1.0), dict(gamma=-0.5), dict(tau=0.0), dict(cg_max_iters=0),
-    dict(max_epochs=-1), dict(patience=0), dict(init_lo=0.5, init_hi=0.5),
+    dict(max_epochs=-1), dict(patience=0), dict(init_lo=0.5, init_hi=0.5), dict(seed=-1),
 ])
 def test_hyperparams_rejects_bad_values(kw):
     with pytest.raises(ValueError):

@@ -4,9 +4,12 @@ at any worker count, and the inner product against an exact sum."""
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,7 +176,8 @@ def test_pool_under_stress_gives_the_one_worker_bytes(monkeypatch):
     want = one_round()
     monkeypatch.setattr(sddmm, "WORKERS", 8)
     assert len(span_bounds(n)) - 1 == 6
-    monkeypatch.setattr(sddmm, "_pool", None)  # the next split starts 8 threads
+    pool = ThreadPoolExecutor(8)  # the next split starts 8 threads
+    monkeypatch.setattr(sddmm, "_pool", pool)
     got, errors = [], []
 
     def rounds():
@@ -192,9 +196,8 @@ def test_pool_under_stress_gives_the_one_worker_bytes(monkeypatch):
         assert not thread.is_alive(), "the rounds did not finish in 120 s"
     finally:
         sys.setswitchinterval(interval)
-        if sddmm._pool is not None:
-            # a hung round keeps its spans on the pool: do not wait for them
-            sddmm._pool.shutdown(wait=not thread.is_alive())
+        # a hung round keeps its spans on the pool: do not wait for them
+        pool.shutdown(wait=not thread.is_alive())
     if errors:
         raise errors[0]
     assert len(got) == 20
@@ -209,25 +212,54 @@ def test_forked_child_starts_its_own_pool(monkeypatch):
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 50, 6))
     rows, cols = rng.integers(0, 50, (2, 2 * SPLIT_N))
-    want = sampled_dots(rows, cols, ((a, b),))  # starts the parent's pool
-    assert sddmm._pool is not None
+    want = sampled_dots(rows, cols, ((a, b),))  # starts the parent's pool's threads
+    parent_pool = sddmm._pool
 
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
 
     def child():
-        send.send_bytes(sampled_dots(rows, cols, ((a, b),)).tobytes())
+        send.send((sddmm._pool is not parent_pool,
+                   sampled_dots(rows, cols, ((a, b),)).tobytes()))
 
     proc = ctx.Process(target=child)
     proc.start()
     try:
         assert receive.poll(60), "the forked child's split call did not finish"
-        assert receive.recv_bytes() == want.tobytes()
+        assert receive.recv() == (True, want.tobytes())  # a fresh pool, the same bytes
     finally:
         proc.join(10)
         if proc.is_alive():
             proc.kill()
     assert proc.exitcode == 0
+
+
+def test_importing_sofactor_starts_no_thread():
+    # the pool is made at import, but its threads start with the first
+    # pooled pass
+    code = ("import threading, sofactor; print(sum(t.name.startswith('sofactor')"
+            " for t in threading.enumerate()))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(sddmm.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+def test_a_pooled_pass_starts_at_most_workers_threads(monkeypatch):
+    # the pool is sized once, at import: a pass split into three times as
+    # many spans as there are workers starts no more threads than workers
+    workers = sddmm.WORKERS
+    monkeypatch.setattr(sddmm, "WORKERS", 3 * workers)
+    n = 3 * workers * sddmm.MIN_SPAN
+    rng = np.random.default_rng(29)
+    a, b = rng.standard_normal((2, 50, 6))
+    rows, cols = rng.integers(0, 50, (2, n))
+    want = np.einsum("ij,ij->i", a[rows], b[cols])
+    assert np.array_equal(sampled_dots(rows, cols, ((a, b),)), want)
+    started = [t for t in threading.enumerate() if t.name.startswith("sofactor")]
+    assert 1 <= len(started) <= workers
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000, 300_001])
