@@ -10,6 +10,7 @@ from typing import Iterable, Sequence
 
 from .data import TripleSet, check_fractions, split
 from .model import Hyperparams, rmse
+from .sddmm import check_integer
 from .train import VALID_OPTIMIZERS, OptimizerKind, train
 
 
@@ -216,8 +217,8 @@ def run_benchmark(data: TripleSet,
             raise ValueError(f"dataset config {label!r}: {exc}") from None
     if len(set(seeds)) != len(seeds):
         raise ValueError("duplicate seed in request")
-    if min(seeds) < 0:
-        raise ValueError("seed must be >= 0")
+    for seed in seeds:
+        check_integer("seed", seed, least=0)
     ordered = sorted(models, key=lambda m: VALID_OPTIMIZERS.index(m.name))
     rows = []
     for label, train_frac, val_frac in configs:

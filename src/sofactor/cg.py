@@ -65,9 +65,7 @@ def cg_solve(apply_a: Callable[[np.ndarray], np.ndarray], g: np.ndarray,
     """
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    check_integer("max_iters", max_iters)
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_integer("max_iters", max_iters, least=1)
     g = np.asarray(g, dtype=np.float64)
     if not np.isfinite(g).all():
         raise NonFiniteOperatorError("right-hand side contains non-finite values")

@@ -63,8 +63,8 @@ class CurvatureContext:
     def jacobian_vector(self, v: np.ndarray) -> np.ndarray:
         """J v: directional derivative of every prediction, one entry per
         observation, in the train set's user-major order, the order the
-        weighted sums take (``data.user_major`` gives the ids and the
-        observed value at each position).
+        weighted sums take: the order of ``data.user_major``, the train
+        set's TripleSet in that order, whose ids it reads.
 
         Returns the context's scratch buffer, which the next product
         overwrites; copy it to keep it.

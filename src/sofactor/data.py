@@ -23,7 +23,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import islice
 
@@ -66,10 +66,11 @@ class TripleSet:
     string or complex value, is rejected, not converted. Each array is
     checked once, in the dtype it arrives in; the set keeps a copy of it.
 
-    ``_trusted`` builds the sets of two callers in this module whose
+    ``_trusted`` builds the sets of three callers in this module whose
     contents already hold these invariants, ``split`` (disjoint slices of
-    a valid set) and ``load_dense_matrix`` (distinct cells in range, values
-    it checks itself): it casts them, without the scans and the sort.
+    a valid set), ``_work_order`` (a valid set in another order) and
+    ``load_dense_matrix`` (distinct cells in range, values it checks
+    itself): it casts them, without the scans and the sort.
     """
 
     def __init__(self, num_users, num_services, users, services, values):
@@ -173,31 +174,35 @@ class RaggedIndex:
     and ``indices`` holds the other entity's id at each position. The
     order itself (which observation sits at each position) is not kept:
     only the build of the user-major view reads it (``_work_order``).
-    ``indices`` and ``indptr`` are in scipy's own index dtype for
-    ``shape``, so ``weighted_sums`` pairs them with fresh data without
-    a per-call range scan or cast; nothing ever writes to them.
+    ``positions``, if set, maps this index's positions onto the order its
+    weights come in (``w[positions]`` is w in group order): it is None on
+    a dataset's ``by_user``, whose order is the weights', and set on its
+    ``by_service``. ``indices``, ``indptr`` and ``positions`` are in
+    scipy's own index dtype for ``shape``, so ``weighted_sums`` pairs
+    them with fresh data without a per-call range scan or cast; nothing
+    ever writes to them.
     """
 
     shape: tuple
     indices: np.ndarray
     indptr: np.ndarray
+    positions: np.ndarray | None = None
 
     @property
     def counts(self) -> np.ndarray:
         "Observations per group, as int64 whatever scipy's index dtype."
         return np.diff(self.indptr).astype(np.int64)
 
-    def weighted_sums(self, weights: np.ndarray, rows: np.ndarray,
-                      positions=None, out=None) -> np.ndarray:
+    def weighted_sums(self, weights: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
         """out[i] = sum over the observations k of group i of
         weights[k] * rows[j_k], where j_k is the other entity's id of k.
 
         weights holds one entry per observation in this index's group
         order (entry p belongs to the observation at position p, whose
         other id is ``indices[p]``); rows has one row per id of the other
-        entity. With ``positions``, one entry per observation, weights is
-        in another order and entry p is ``weights[positions[p]]`` instead.
-        out, if given, receives the sums and is returned.
+        entity. With ``positions``, weights is in another order and entry
+        p is ``weights[positions[p]]`` instead. out, if given, receives
+        the sums and is returned.
 
         Chunks of groups run on the pool of ``sddmm``, split at the first
         group at or after each inner bound of ``span_bounds(nnz)`` (equal
@@ -205,7 +210,7 @@ class RaggedIndex:
         matrix over views of this index, gathering their weights through
         ``positions``; no group's sum depends on the chunk or block.
         """
-        indptr = self.indptr
+        indptr, positions = self.indptr, self.positions
         nnz = int(indptr[-1])
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (nnz,):
@@ -234,25 +239,6 @@ class RaggedIndex:
 
 
 @dataclass(frozen=True, eq=False)
-class UserMajorOrder:
-    """The work order of per-observation vectors in training passes.
-
-    It is ``by_user``'s group order: the observations grouped by user, in
-    stored order inside each user. ``users``, ``services`` and ``values``
-    give the ids and the observed value at each position, and
-    ``to_service`` maps the positions onto ``by_service``'s group order
-    (``w[to_service]`` is w in that order). The ids and the map are in
-    the CSR index dtype of the dataset's groupings; ``services`` is
-    ``by_user.indices``, not a copy.
-    """
-
-    users: np.ndarray
-    services: np.ndarray
-    values: np.ndarray
-    to_service: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class IndexedDataset:
     """A TripleSet plus per-user and per-service observation indices.
 
@@ -263,9 +249,11 @@ class IndexedDataset:
 
     Per-observation vectors come in one of two orders. Stored order is
     that of ``base``; predictions, residuals and RMSE use it. User-major
-    order (``user_major``) is the order of ``by_user``; the weighted
-    sums take their weights in it, so the data gradient and J v, which
-    feed them, are computed in it too.
+    order is the order of ``by_user``; the weighted sums take their
+    weights in it (``by_service`` through its ``positions``), so the data
+    gradient and J v, which feed them, are computed in it too.
+    ``user_major`` is ``base`` in that order: a TripleSet of the same
+    observations, its ids in ``base``'s dtype.
 
     The two groupings and the view are built together (``_work_order``)
     and cached as one: the first read of any of them builds all three,
@@ -297,8 +285,8 @@ class IndexedDataset:
         return self._built[1]
 
     @property
-    def user_major(self) -> UserMajorOrder:
-        "The user-major work order."
+    def user_major(self) -> TripleSet:
+        "The observations of ``base`` in user-major order."
         return self._built[2]
 
     def user_weighted_sums(self, weights: np.ndarray, service_rows: np.ndarray,
@@ -315,9 +303,8 @@ class IndexedDataset:
                               out=None) -> np.ndarray:
         """out[s] = sum over k in K_s of weights[k] * user_rows[user_k],
         with weights in user-major order; each chunk of the sum gathers
-        its own weights through ``user_major.to_service``."""
-        return self.by_service.weighted_sums(weights, user_rows,
-                                             positions=self.user_major.to_service, out=out)
+        its own weights through ``by_service.positions``."""
+        return self.by_service.weighted_sums(weights, user_rows, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,10 +364,13 @@ def _work_order(t: TripleSet) -> tuple:
     side goes first, and its order leaves behind only each observation's
     position in service order (``in_service``). With the user side's
     order, each user-major position p then gathers its value and marks
-    itself in ``to_service`` at the service-order position of its
-    observation. The build peaks at 4 bytes per observation above what
-    it keeps: the two groupings' ids, the view's user ids, values and
-    ``to_service``, 24 bytes per observation.
+    itself in ``by_service.positions`` at the service-order position of
+    its observation. The view is a TripleSet with ids in t's dtype: its
+    services are ``by_user.indices`` itself when that dtype is scipy's
+    index dtype, else a narrower copy. The build peaks at 4 bytes per
+    observation above what it keeps: the two groupings' ids (4 + 4),
+    ``by_service.positions`` (4), the view's values (8) and ids (2 + 2
+    with int16 ids, 4 + 0 with int32 ones), 24 bytes per observation.
     """
     n = len(t)
     by_service, order = _grouped(t.services, t.users, (t.num_services, t.num_users))
@@ -390,19 +380,19 @@ def _work_order(t: TripleSet) -> tuple:
     in_service[order] = arange
     del order
     by_user, order = _grouped(t.users, t.services, (t.num_users, t.num_services))
-    to_service = np.empty(n, dtype=dtype)
+    positions = np.empty(n, dtype=dtype)
     for a, b in _blocks(n, BLOCK_ROWS):  # the composed gather makes a temporary
-        to_service[in_service.take(order[a:b])] = arange[a:b]
+        positions[in_service.take(order[a:b])] = arange[a:b]
     del in_service, arange
     values = np.empty(n)
     # order is a permutation of range(n), so clip never clips; it lets
     # take() write into out= without a buffer
     np.take(t.values, order, out=values, mode="clip")
     del order
-    indptr = by_user.indptr
-    users = np.repeat(np.arange(len(indptr) - 1, dtype=dtype), np.diff(indptr))
-    return by_user, by_service, UserMajorOrder(
-        users=users, services=by_user.indices, values=values, to_service=to_service)
+    users = np.repeat(np.arange(t.num_users, dtype=t.users.dtype), np.diff(by_user.indptr))
+    # a permutation of t: _trusted's contract
+    user_major = _trusted(t.num_users, t.num_services, users, by_user.indices, values)
+    return by_user, replace(by_service, positions=positions), user_major
 
 
 def build_index(t: TripleSet, role: str = "") -> IndexedDataset:
@@ -646,8 +636,7 @@ def split(t: TripleSet, train_frac: float, val_frac: float, seed: int) -> SplitD
     theirs on first use, if any, since evaluation reads only ``base``.
     """
     check_fractions(train_frac, val_frac)
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
+    check_integer("seed", seed, least=0)
     n = len(t)
     n_train = math.floor(n * train_frac)
     n_val = math.floor(n * val_frac)
@@ -701,16 +690,15 @@ def synth_lowrank(num_users: int, num_services: int, rank: int, density: float,
     """
     from .model import FactorState  # deferred: model builds on this module
 
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
+    for name, value, least in (("num_users", num_users, 0), ("num_services", num_services, 0),
+                               ("rank", rank, 1), ("seed", seed, 0)):
+        check_integer(name, value, least)
     if not (0 < density <= 1):
         raise ValueError("density must lie in (0, 1]")
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be >= 0")
     if not init_lo < init_hi:
         raise ValueError("init_lo must be < init_hi")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     user_factors = rng.uniform(init_lo, init_hi, size=(num_users, rank))
     service_factors = rng.uniform(init_lo, init_hi, size=(num_services, rank))

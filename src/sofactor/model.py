@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import IndexedDataset, TripleSet, UserMajorOrder
+from .data import IndexedDataset, TripleSet
 from .sddmm import check_integer, dot, sampled_dots
 
 FORMAT_VERSION = 1
@@ -70,8 +70,9 @@ class Hyperparams:
 
     def __post_init__(self):
         check_fields(self)
-        if self.f < 1:
-            raise ValueError("f must be >= 1")
+        for name, least in (("f", 1), ("cg_max_iters", 1), ("max_epochs", 0), ("patience", 1),
+                            ("seed", 0)):
+            check_integer(name, getattr(self, name), least)
         if self.lambda_r1 < 0 or self.lambda_r2 < 0:
             raise ValueError("penalty weights must be >= 0")
         if self.epsilon <= 0:
@@ -80,16 +81,8 @@ class Hyperparams:
             raise ValueError("gamma must be >= 0")
         if self.tau <= 0:
             raise ValueError("tau must be > 0")
-        if self.cg_max_iters < 1:
-            raise ValueError("cg_max_iters must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         if not self.init_lo < self.init_hi:
             raise ValueError("init range must satisfy init_lo < init_hi")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 class FactorState:
@@ -175,13 +168,13 @@ def init_factors(num_users: int, num_services: int, h: Hyperparams) -> FactorSta
         service_factors=rng.uniform(h.init_lo, h.init_hi, size=(num_services, h.f)))
 
 
-def predict_observed(x: FactorState, t: TripleSet | UserMajorOrder) -> np.ndarray:
+def predict_observed(x: FactorState, t: TripleSet) -> np.ndarray:
     """Predictions for every observation of t, in t's order: stored order
-    for a TripleSet, user-major order for a UserMajorOrder."""
+    for a dataset's ``base``, user-major order for its ``user_major``."""
     return sampled_dots(t.users, t.services, ((x.user_factors, x.service_factors),))
 
 
-def residuals(x: FactorState, t: TripleSet | UserMajorOrder) -> np.ndarray:
+def residuals(x: FactorState, t: TripleSet) -> np.ndarray:
     "q - yhat per observation of t, in t's order, subtracted in place into the predictions."
     r = predict_observed(x, t)
     return np.subtract(t.values, r, out=r)

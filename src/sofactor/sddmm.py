@@ -98,10 +98,13 @@ def run_spans(fn, bounds) -> None:
         future.result()
 
 
-def check_integer(name: str, value) -> None:
-    "Reject a value that is not an int or a numpy integer, a bool included, naming it."
+def check_integer(name: str, value, least=None) -> None:
+    """Reject a value that is not an int or a numpy integer, a bool
+    included, and one below least if given, naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -250,6 +250,9 @@ def test_run_benchmark_validates_request(monkeypatch):
     # a negative seed is refused before seed 0 trains
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         run_benchmark(t, [("a", 0.6, 0.2)], [0, -1], [OptimizerKind("SLF")], fast_h())
+    for seed, shown in ((1.5, r"1\.5"), (True, "True")):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {shown}$"):
+            run_benchmark(t, [("a", 0.6, 0.2)], [0, seed], [OptimizerKind("SLF")], fast_h())
     # the second config's fractions are refused before the first one trains
     with pytest.raises(ValueError, match="^dataset config 'bad': .*must not exceed 1"):
         run_benchmark(t, [("a", 0.6, 0.2), ("bad", 0.9, 0.5)], [0],

@@ -438,6 +438,19 @@ def test_a_negative_seed_errors_naming_the_seed(tmp_path, capsys, command):
     assert captured.out == "" and not out.exists()
 
 
+@pytest.mark.parametrize("flag, message", [("--num-users", "num_users must be >= 0"),
+                                           ("--num-services", "num_services must be >= 0"),
+                                           ("--rank", "rank must be >= 1")])
+def test_synth_refuses_a_negative_dimension_naming_it(tmp_path, capsys, flag, message):
+    out = tmp_path / "out.txt"
+    # the flag given last is the one argparse keeps
+    assert main(["synth", "--num-users", "4", "--num-services", "5", flag, "-1",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["train"])  # --data is required

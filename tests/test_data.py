@@ -8,6 +8,7 @@ import copy
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -763,7 +764,7 @@ def test_grouping_keys_of_int16_ids_are_formed_in_int64():
     assert np.array_equal(um.users, t.users[by_user])
     position = np.empty(n, dtype=np.int64)
     position[by_user] = np.arange(n)
-    assert np.array_equal(um.to_service, position[by_service])
+    assert np.array_equal(d.by_service.positions, position[by_service])
 
 
 def test_index_preserves_observation_order_within_group():
@@ -908,7 +909,7 @@ def test_weighted_sums_gather_their_weights_per_chunk(extra, workers, monkeypatc
 
     monkeypatch.setattr(sddmm, "WORKERS", workers)
     out = np.empty((nu, f))
-    got = index.weighted_sums(w, rows, positions=positions, out=out)
+    got = replace(index, positions=positions).weighted_sums(w, rows, out=out)
     assert got is out
     assert got.tobytes() == want.tobytes()
     assert chunks_run == [max(1, min(workers, nnz // sddmm.MIN_SPAN))]
@@ -924,7 +925,7 @@ def test_weighted_sums_of_two_min_spans_run_in_two_chunks(monkeypatch, chunks_ru
     w = rng.standard_normal(n)
     user_rows, service_rows = rng.standard_normal((nu, f)), rng.standard_normal((ns, f))
     want_user = serial_sums(d.by_user, w, service_rows)
-    want_service = serial_sums(d.by_service, w[d.user_major.to_service], user_rows)
+    want_service = serial_sums(d.by_service, w[d.by_service.positions], user_rows)
 
     monkeypatch.setattr(sddmm, "WORKERS", 2)
     assert d.user_weighted_sums(w, service_rows).tobytes() == want_user.tobytes()
@@ -935,7 +936,7 @@ def test_weighted_sums_of_two_min_spans_run_in_two_chunks(monkeypatch, chunks_ru
 def test_weighted_sums_reject_positions_and_out_of_another_shape():
     index = build_index(small_set()).by_user
     with pytest.raises(ValueError, match="positions for 6 observations"):
-        index.weighted_sums(np.ones(6), np.ones((3, 2)), positions=np.arange(5))
+        replace(index, positions=np.arange(5)).weighted_sums(np.ones(6), np.ones((3, 2)))
     with pytest.raises(ValueError, match=r"out has shape \(4, 3\), expected \(4, 2\)"):
         index.weighted_sums(np.ones(6), np.ones((3, 2)), out=np.empty((4, 3)))
 
@@ -968,10 +969,11 @@ def test_user_major_view_gives_its_serial_definition(extra, workers, monkeypatch
     position[by_user] = np.arange(n)
     assert um.values.dtype == np.float64
     assert um.values.tobytes() == t.values[by_user].tobytes()
-    assert um.to_service.dtype == d.by_user.indptr.dtype
-    assert np.array_equal(um.to_service, position[by_service])
-    assert np.array_equal(um.users, t.users[by_user])
-    assert um.services is d.by_user.indices
+    assert d.by_service.positions.dtype == d.by_service.indptr.dtype
+    assert np.array_equal(d.by_service.positions, position[by_service])
+    assert um.users.dtype == um.services.dtype == t.users.dtype
+    assert um.users.tobytes() == t.users[by_user].tobytes()
+    assert um.services.tobytes() == t.services[by_user].tobytes()
     assert chunks_run == []  # no pooled pass
 
 
@@ -1027,7 +1029,7 @@ def set_up_arrays(d):
     um = d.user_major
     return [d.base.users, d.base.services, d.base.values, d.by_user.indices,
             d.by_user.indptr, d.by_service.indices, d.by_service.indptr,
-            um.users, um.services, um.values, um.to_service]
+            d.by_service.positions, um.users, um.services, um.values]
 
 
 def test_set_up_starts_no_pool_at_any_worker_count(monkeypatch):
@@ -1051,9 +1053,12 @@ def test_set_up_starts_no_pool_at_any_worker_count(monkeypatch):
 
 def work_order_nbytes(d):
     "What a dataset's groupings and user-major view hold."
-    um = d.user_major  # um.services is by_user.indices
-    return sum(a.nbytes for a in (d.by_user.indices, d.by_user.indptr, d.by_service.indices,
-                                  d.by_service.indptr, um.users, um.values, um.to_service))
+    um = d.user_major
+    arrays = [d.by_user.indices, d.by_user.indptr, d.by_service.indices,
+              d.by_service.indptr, d.by_service.positions, um.users, um.values]
+    if not np.shares_memory(um.services, d.by_user.indices):
+        arrays.append(um.services)
+    return sum(a.nbytes for a in arrays)
 
 
 def test_split_holds_no_more_than_its_parts_and_the_train_work_order():
@@ -1073,8 +1078,9 @@ def test_split_holds_no_more_than_its_parts_and_the_train_work_order():
 @pytest.mark.parametrize("nu, ns", [(1000, 700), (3000, 40_000)], ids=["int16", "int32"])
 def test_train_index_holds_24_bytes_per_observation(nu, ns):
     # after set-up and a first read of the view, a train part holds its
-    # two groupings' ids (4 + 4 bytes per observation), the view's user
-    # ids (4), values (8) and to_service (4), and no grouping order
+    # two groupings' ids (4 + 4 bytes per observation), by_service's
+    # positions (4), the view's values (8) and its ids (int16: 2 + 2;
+    # int32: 4, its services being by_user.indices), and no grouping order
     t = distinct_cells(300_000, seed=43, nu=nu, ns=ns)
     tracemalloc.start()
     try:
@@ -1086,6 +1092,24 @@ def test_train_index_holds_24_bytes_per_observation(nu, ns):
     bounds = d.by_user.indptr.nbytes + d.by_service.indptr.nbytes  # per group, not per observation
     assert held <= 24 * len(t) + bounds + 64 * 1024
     assert work_order_nbytes(d) <= held
+
+
+@pytest.mark.parametrize("nu, ns", [(300, 200), (300, 40_000)], ids=["int16", "int32"])
+def test_user_major_is_the_base_as_a_triple_set_in_user_major_order(nu, ns):
+    n = 5_000
+    t = distinct_cells(n, seed=53, nu=nu, ns=ns)
+    d = build_index(t)
+    um, order = d.user_major, grouping_order(t.users)
+    assert isinstance(um, TripleSet)
+    assert (um.num_users, um.num_services, len(um)) == (nu, ns, n)
+    assert um.users.dtype == um.services.dtype == t.users.dtype
+    for name in ("users", "services", "values"):
+        assert getattr(um, name).tobytes() == getattr(t, name)[order].tobytes()
+    assert d.by_user.positions is None
+    # a map of another length is refused
+    short = replace(d.by_service, positions=d.by_service.positions[:-1])
+    with pytest.raises(ValueError, match=rf"^\({n - 1},\) positions for {n} observations$"):
+        short.weighted_sums(np.ones(n), np.ones((nu, 2)))
 
 
 def serial_grouping(ids, other_ids, shape):
@@ -1180,8 +1204,9 @@ def test_split_builds_only_the_train_groupings():
                 a, b = getattr(got, field), getattr(ref, field)
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert getattr(part, name) is got  # cached
-        for field in ("users", "services", "values", "to_service"):
-            a, b = getattr(part.user_major, field), getattr(want.user_major, field)
+        pairs = [(getattr(part.user_major, field), getattr(want.user_major, field))
+                 for field in ("users", "services", "values")]
+        for a, b in pairs + [(part.by_service.positions, want.by_service.positions)]:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -1241,6 +1266,10 @@ def test_split_rejects_too_small_input():
 def test_split_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         split(small_set(), 0.5, 0.25, seed=-1)
+    for seed in (1.5, True, np.float64(2.0)):
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            split(small_set(), 0.5, 0.25, seed)
 
 
 # ---------------------------------------------------------------- synth
@@ -1291,3 +1320,15 @@ def test_synth_lowrank_validates_args():
         synth_lowrank(5, 5, 2, 0.5, 0.0, seed=0, init_lo=0.3, init_hi=0.3)
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         synth_lowrank(5, 5, 2, 0.5, 0.0, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        synth_lowrank(5, 5, 2, 0.5, 0.0, seed=1.5)
+    with pytest.raises(ValueError, match="^rank must be >= 1$"):
+        synth_lowrank(5, 5, 0, 0.5, 0.0, seed=0)
+    with pytest.raises(ValueError, match="^rank must be an integer, got 2.5$"):
+        synth_lowrank(5, 5, 2.5, 0.5, 0.0, seed=0)
+    for args, message in [((-1, 5), "^num_users must be >= 0$"),
+                          ((5, -1), "^num_services must be >= 0$"),
+                          ((5.0, 5), r"^num_users must be an integer, got 5\.0$"),
+                          ((5, True), "^num_services must be an integer, got True$")]:
+        with pytest.raises(ValueError, match=message):
+            synth_lowrank(*args, 2, 0.5, 0.0, seed=0)

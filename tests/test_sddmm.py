@@ -164,13 +164,13 @@ def test_pool_under_stress_gives_the_one_worker_bytes(monkeypatch):
         parts = [sp.train.base, sp.validation.base, sp.test.base]
         groupings = [sp.train.by_user, sp.train.by_service]  # built by split
         return [dots.tobytes(), sums.tobytes(), um.values.tobytes(),
-                um.to_service.tobytes(), um.users.tobytes()] + [
+                ds.by_service.positions.tobytes(), um.users.tobytes()] + [
                 getattr(p, name).tobytes() for p in parts
                 for name in ("users", "services", "values")] + [
                 getattr(g, name).tobytes() for g in groupings
                 for name in ("indices", "indptr")] + [
                 getattr(sp.train.user_major, name).tobytes()
-                for name in ("users", "values", "to_service")]
+                for name in ("users", "values")] + [sp.train.by_service.positions.tobytes()]
 
     monkeypatch.setattr(sddmm, "WORKERS", 1)
     want = one_round()

@@ -68,21 +68,22 @@ def test_user_major_view_follows_by_user(name):
     d, _ = problem(name, f=1)
     um = d.user_major
     t = d.base
-    dtype = d.by_user.indptr.dtype
-    assert um.users.dtype == um.services.dtype == um.to_service.dtype == dtype
+    positions = d.by_service.positions
+    assert um.users.dtype == um.services.dtype == t.users.dtype
+    assert positions.dtype == d.by_service.indptr.dtype
     by_user, by_service = grouping_order(t.users), grouping_order(t.services)
     assert np.array_equal(um.users, t.users[by_user])
     assert np.array_equal(um.services, t.services[by_user])
     assert um.values.tobytes() == t.values[by_user].tobytes()
     w = np.random.default_rng(3).standard_normal(len(d))
-    assert np.array_equal(w[by_user][um.to_service], w[by_service])
+    assert np.array_equal(w[by_user][positions], w[by_service])
     assert d.user_major is um  # cached
 
 
 def test_user_major_view_of_empty_set():
     d = build_index(TripleSet(3, 2, np.empty(0), np.empty(0), np.empty(0)))
     um = d.user_major
-    assert len(um.users) == len(um.services) == len(um.to_service) == 0
+    assert len(um.users) == len(um.services) == len(d.by_service.positions) == 0
     assert not d.user_weighted_sums(np.empty(0), np.ones((2, 4))).any()
     assert not d.service_weighted_sums(np.empty(0), np.ones((3, 4))).any()
 
