@@ -35,8 +35,8 @@ from .sddmm import BLOCK_ROWS, check_integer, run_spans, sampled_dots, span_boun
 _INT64_MAX = int(np.iinfo(np.int64).max)
 # Set-up runs on the calling thread, and its passes go a block at a time,
 # so that they hold nothing of one entry per observation beyond their
-# outputs. The passes that add positions read them from one shared arange
-# of SETUP_BLOCK entries (128 KiB) and allocate nothing per block; the
+# outputs. The passes that write positions take them SETUP_BLOCK at a time
+# (at most 128 KiB), those that add them from one shared arange; the
 # gathers that make a temporary go BLOCK_ROWS at a time, so each of their
 # temporaries stays at 16 KiB.
 SETUP_BLOCK = 16_384
@@ -360,34 +360,30 @@ def _work_order(t: TripleSet) -> tuple:
     """(by_user, by_service, user_major) of t, built in one pass.
 
     The view is the one reader of the groupings' orders, so no order
-    outlives this build, and at most one is held at a time. The service
-    side goes first, and its order leaves behind only each observation's
-    position in service order (``in_service``). With the user side's
-    order, each user-major position p then gathers its value and marks
-    itself in ``by_service.positions`` at the service-order position of
-    its observation. The view is a TripleSet with ids in t's dtype: its
-    services are ``by_user.indices`` itself when that dtype is scipy's
-    index dtype, else a narrower copy. The build peaks at 4 bytes per
-    observation above what it keeps: the two groupings' ids (4 + 4),
+    outlives this build. The service side's order is kept, narrowed to
+    scipy's index dtype; one scatter of the user side's order gives each
+    observation its user-major position (``in_user``), and those gathered
+    in service order, in place, are ``by_service.positions``. The view
+    is a TripleSet with ids in t's dtype: its services are
+    ``by_user.indices`` itself when that dtype is scipy's index dtype,
+    else a narrower copy. The build peaks at 4 bytes per observation
+    above what it keeps: the two groupings' ids (4 + 4),
     ``by_service.positions`` (4), the view's values (8) and ids (2 + 2
     with int16 ids, 4 + 0 with int32 ones), 24 bytes per observation.
     """
     n = len(t)
     by_service, order = _grouped(t.services, t.users, (t.num_services, t.num_users))
     dtype = by_service.indptr.dtype  # holds n, so every position fits
-    arange = np.arange(n, dtype=dtype)
-    in_service = np.empty(n, dtype=dtype)  # each observation's position in service order
-    in_service[order] = arange
+    positions = order.astype(dtype)  # the service order, until overwritten below
     del order
     by_user, order = _grouped(t.users, t.services, (t.num_users, t.num_services))
-    positions = np.empty(n, dtype=dtype)
-    for a, b in _blocks(n, BLOCK_ROWS):  # the composed gather makes a temporary
-        positions[in_service.take(order[a:b])] = arange[a:b]
-    del in_service, arange
-    values = np.empty(n)
-    # order is a permutation of range(n), so clip never clips; it lets
-    # take() write into out= without a buffer
-    np.take(t.values, order, out=values, mode="clip")
+    in_user = np.empty(n, dtype=dtype)  # each observation's user-major position
+    for a, b in _blocks(n, SETUP_BLOCK):
+        in_user[order[a:b]] = np.arange(a, b, dtype=dtype)
+    for a, b in _blocks(n, BLOCK_ROWS):  # the gather makes a temporary
+        positions[a:b] = in_user.take(positions[a:b])
+    del in_user
+    values = t.values.take(order)
     del order
     users = np.repeat(np.arange(t.num_users, dtype=t.users.dtype), np.diff(by_user.indptr))
     # a permutation of t: _trusted's contract
@@ -426,16 +422,6 @@ def _lines(path, comments: bool):
             yield line_no, (raw.split("#", 1)[0] if comments else raw).split()
 
 
-def _count_lines(path) -> int:
-    "Lines of a text file, counted as iterating over it counts them."
-    count, last = 0, "\n"
-    with open(path, "r", encoding="utf-8") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), ""):
-            count += chunk.count("\n")
-            last = chunk[-1]
-    return count + (last != "\n")
-
-
 def _is_id(token: str) -> bool:
     "Whether np.loadtxt reads token as an int64."
     return _ID.fullmatch(token) is not None and -_INT64_MAX - 1 <= int(token) <= _INT64_MAX
@@ -459,17 +445,21 @@ def load_dense_matrix(path) -> TripleSet:
     not >= 0 (negative, ``nan`` or ``-inf``) is treated as missing and
     not stored. Raises ValueError with the offending line number on
     ragged rows (a blank line has 0 columns), non-numeric tokens (``#``
-    among them) or an ``inf`` cell; an empty or all-blank file is the
-    empty 0 x 0 set. I/O problems propagate as OSError.
+    among them), an ``inf`` cell or a line that is not UTF-8 (a gzip
+    file is not decompressed); an empty or all-blank file is the empty
+    0 x 0 set. I/O problems propagate as OSError. The file is opened
+    and decoded once; only a failed load reads it again, to name the line.
     """
+    blank = []  # whitespace-only lines, dropped as np.loadtxt drops them
     try:
-        matrix = _loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError as exc:
+        with open(path, encoding="utf-8") as fh:
+            matrix = _loadtxt(_unblank(fh, blank), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:  # UnicodeDecodeError among them
         raise _dense_error(path, exc) from None
     if matrix.size == 0:
         return TripleSet(0, 0, [], [], [])
-    if len(matrix) != _count_lines(path):
-        raise _dense_error(path, "np.loadtxt skipped a line") from None
+    if blank:
+        raise _dense_error(path, "blank line")
     keep = matrix >= 0
     # np.nonzero(keep), from one flat scan, in the ids' final dtype: each
     # row's kept cells in row-major order, the row repeated once per kept
@@ -483,12 +473,21 @@ def load_dense_matrix(path) -> TripleSet:
     values = matrix[keep]  # row-major, the order of the ids
     finite = np.isfinite(values)
     if not finite.all():
-        # no line was skipped (checked above), so row r is line r + 1
+        # no line was blank (checked above), so row r is line r + 1
         row = int(users[np.argmin(finite)])
         raise ValueError(f"{path}:{row + 1}: non-finite value")
     # the ids name each cell of the matrix at most once, inside its
     # shape, and the kept values were just checked: _trusted's contract
     return _trusted(rows, cols, users, services, values)
+
+
+def _unblank(lines, blank: list):
+    "The lines that are not whitespace-only; each one that is goes to blank."
+    for line in lines:
+        if line.isspace():
+            blank.append(line)
+        else:
+            yield line
 
 
 def _dense_error(path, cause) -> ValueError:

@@ -1,6 +1,7 @@
 """Command line behaviour, exercised in-process through main(argv)."""
 
 import dataclasses
+import gzip
 import json
 import math
 import os
@@ -377,6 +378,13 @@ def test_a_file_that_is_not_utf8_errors_with_its_path_and_line(tmp_path, capsys,
     rc = main(["train", "--data", str(data), *FAST, *fmt])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {data}:2: not UTF-8\n"
+    if fmt != ["--format", "triples"]:
+        # a gzip file is read as it is, not decompressed: its header is line 1
+        gz = tmp_path / "bad.txt.gz"
+        gz.write_bytes(gzip.compress(b"0.5 1.0\n1.0 2.0\n"))
+        rc = main(["train", "--data", str(gz), *FAST, *fmt])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {gz}:1: not UTF-8\n"
 
 
 def test_missing_file_errors_cleanly(tmp_path, capsys):

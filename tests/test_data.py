@@ -5,9 +5,13 @@ python dictionaries; file formats against hand-written fixtures.
 """
 
 import copy
+import gzip
+import os
 import re
+import sys
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -31,7 +35,7 @@ from sofactor.data import (
     write_triples,
 )
 from sofactor.model import Hyperparams, init_factors
-from sofactor.sddmm import run_spans
+from sofactor.sddmm import BLOCK_ROWS, run_spans
 
 from oracles import grouping_order, traced_peak, write_dense_matrix
 
@@ -637,6 +641,70 @@ def test_load_dense_matrix_empty_or_blank_file_is_empty_set(tmp_path, body):
 
 
 @pytest.mark.parametrize("body,line", [
+    (b"1 2\r\n\r\n3 4\r\n", 2),
+    (b"1 2\n\t\n3 4\n", 2),
+    (b"1 2\n3 4\n\x0c\n", 3),
+], ids=["crlf", "tab", "form-feed"])
+def test_load_dense_matrix_names_each_kind_of_blank_line(tmp_path, body, line):
+    p = tmp_path / "m.txt"
+    p.write_bytes(body)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:{line}: expected 2 columns, got 0$"):
+        load_dense_matrix(p)
+
+
+def test_load_dense_matrix_all_blank_crlf_file_is_empty_set(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_bytes(b"\r\n \r\n\t\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = load_dense_matrix(p)
+    assert (t.num_users, t.num_services, len(t)) == (0, 0, 0)
+
+
+_opened = None  # a list while opened_paths records
+
+
+def _note_open(event, args):
+    if event == "open" and _opened is not None:
+        _opened.append(args[0])
+
+
+# np.loadtxt opens a path through io.open, which a monkeypatched
+# builtins.open does not see; the "open" audit event sees every route.
+# An audit hook cannot be removed, so this one stays for the session
+sys.addaudithook(_note_open)
+
+
+@contextmanager
+def opened_paths():
+    "The paths of the files opened while the block runs."
+    global _opened
+    _opened = []
+    try:
+        yield _opened
+    finally:
+        _opened = None
+
+
+def test_load_dense_matrix_opens_its_file_once(tmp_path):
+    p = tmp_path / "m.txt"
+    p.write_text("1.5 -1\n0 2\n")
+    with opened_paths() as opened:
+        t = load_dense_matrix(p)
+    assert t.values.tolist() == [1.5, 0.0, 2.0]
+    assert [os.fspath(f) for f in opened if isinstance(f, (str, os.PathLike))] == [str(p)]
+
+
+@pytest.mark.parametrize("load", [load_dense_matrix, load_dataset])
+def test_a_gzip_dense_file_is_named_as_not_utf8(tmp_path, load):
+    # the file is read as it is: the gzip header's second byte is 0x8b
+    p = tmp_path / "m.txt.gz"
+    p.write_bytes(gzip.compress(b"1.5 -1\n0 2\n"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:1: not UTF-8$"):
+        load(p)
+
+
+@pytest.mark.parametrize("body,line", [
     ("1 inf\n2 3\n", 1),
     ("1 2\n-1 3\n4 +inf\n", 3),
     ("-1 2\n3 nan\ninf -inf\n", 3),
@@ -1092,6 +1160,34 @@ def test_train_index_holds_24_bytes_per_observation(nu, ns):
     bounds = d.by_user.indptr.nbytes + d.by_service.indptr.nbytes  # per group, not per observation
     assert held <= 24 * len(t) + bounds + 64 * 1024
     assert work_order_nbytes(d) <= held
+
+
+@pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+@pytest.mark.parametrize("wide", [False, True], ids=["int16", "int32"])
+@pytest.mark.parametrize("seed", range(3))
+def test_service_positions_are_user_major_positions_in_service_order(n, wide, seed):
+    # random shapes, some users and services never observed; the map is
+    # gathered BLOCK_ROWS at a time, so n fills a block less one, exactly
+    # one, one and a bit, and three and a bit
+    rng = np.random.default_rng([n, wide, seed])
+    nu = int(rng.integers(60, 200))
+    ns = int(rng.integers(32_768, 40_000)) if wide else int(rng.integers(200, 400))
+    users = rng.choice(nu, size=nu - 10, replace=False)
+    services = rng.choice(ns, size=ns - 20, replace=False)
+    cells = rng.choice(len(users) * len(services), size=n, replace=False)
+    t = TripleSet(nu, ns, users[cells // len(services)], services[cells % len(services)],
+                  rng.standard_normal(n))
+    assert t.users.dtype == (np.int32 if wide else np.int16)
+    d = build_index(t)
+    um, positions = d.user_major, d.by_service.positions
+    by_user, by_service = grouping_order(t.users), grouping_order(t.services)
+    user_major_position = np.empty(n, dtype=np.int64)
+    user_major_position[by_user] = np.arange(n)
+    assert positions.dtype == d.by_service.indptr.dtype
+    assert np.array_equal(positions, user_major_position[by_service])
+    # the view at positions[p] is the observation at service-order position p
+    for name in ("users", "services", "values"):
+        assert np.array_equal(getattr(um, name)[positions], getattr(t, name)[by_service])
 
 
 @pytest.mark.parametrize("nu, ns", [(300, 200), (300, 40_000)], ids=["int16", "int32"])
